@@ -203,8 +203,9 @@ impl Basket {
         Ok(())
     }
 
-    /// Write-ahead: log `rows` as one batch starting at the current
-    /// high-water mark. Called after validation, before the append lands.
+    /// Write-ahead: log `chunk` as one block starting at the current
+    /// high-water mark, encoded straight into the log's record buffer.
+    /// Called after validation, before the append lands.
     ///
     /// A write that exhausts the WAL's retry policy does **not** fail the
     /// push — losing availability over a disk hiccup would be worse than
@@ -213,17 +214,16 @@ impl Basket {
     /// un-durably, and the transition is surfaced loudly (engine stats,
     /// metrics gauge, flight-recorder event) via the drained
     /// [`Basket::take_degraded_event`] marker.
-    fn log_rows(&mut self, rows: &[Row]) -> StorageResult<()> {
+    fn log_chunk(&mut self, chunk: &Chunk) {
         let Some(log) = &mut self.wal else {
-            return Ok(());
+            return;
         };
-        let mut buf = Vec::new();
-        binio::encode_batch(&mut buf, &self.schema, rows);
         let first = self.columns.first().map_or(0, Bat::oid_end);
-        if let Err(e) = log.append_batch(first, rows.len() as u32, &buf) {
+        let logged =
+            log.append_with(first, chunk.len() as u32, |buf| binio::encode_chunk(buf, chunk));
+        if let Err(e) = logged {
             self.degrade(e.to_string());
         }
-        Ok(())
     }
 
     /// Basket name (= stream name).
@@ -283,26 +283,18 @@ impl Basket {
 
     /// Append one validated row; returns its OID, or `None` when paused.
     pub fn push(&mut self, row: &Row) -> StorageResult<Option<Oid>> {
-        if self.paused {
-            return Ok(None);
-        }
-        self.schema.validate_row(row)?;
-        self.log_rows(std::slice::from_ref(row))?;
         let oid = self.high_water();
-        for (col, val) in self.columns.iter_mut().zip(row) {
-            col.push(val)?;
-        }
-        self.arrived += 1;
-        self.record_arrival();
-        Ok(Some(oid))
+        let n = self.push_rows(std::slice::from_ref(row))?;
+        Ok((n > 0).then_some(oid))
     }
 
     /// Append many rows (all validated first); returns how many entered.
     ///
     /// The append is column-at-a-time: each column BAT folds in its cells
     /// for the whole batch in one bulk pass (one ownership acquisition and
-    /// one reservation per column, instead of one per cell). This is the
-    /// receptor and server PUSH hot path.
+    /// one reservation per column, instead of one per cell). A durable
+    /// basket pivots the rows into a chunk once and takes the chunk path,
+    /// so the log and the columns receive the same typed buffers.
     pub fn push_rows(&mut self, rows: &[Row]) -> StorageResult<usize> {
         if self.paused || rows.is_empty() {
             return Ok(0);
@@ -310,7 +302,9 @@ impl Basket {
         for row in rows {
             self.schema.validate_row(row)?;
         }
-        self.log_rows(rows)?;
+        if self.wal.is_some() {
+            return self.push_chunk(&Chunk::from_rows(&self.schema, rows)?);
+        }
         for (j, col) in self.columns.iter_mut().enumerate() {
             col.extend_from_rows(rows, j)?;
         }
@@ -319,34 +313,28 @@ impl Basket {
         Ok(rows.len())
     }
 
-    /// Append a pre-built columnar chunk (receptor bulk path).
+    /// Append a pre-built columnar chunk (receptor bulk path); a durable
+    /// basket logs that same chunk first.
     pub fn push_chunk(&mut self, chunk: &Chunk) -> StorageResult<usize> {
         if self.paused {
             return Ok(0);
         }
         // Columnar schema gate: the zip-append below would silently
         // truncate a ragged chunk, so arity/type/NOT-NULL must be checked
-        // up front — this is the trust boundary for binary `PUSH` frames.
+        // up front — this is the trust boundary for binary `PUSH` frames,
+        // and it runs before logging: a batch that then failed to apply
+        // would leave a phantom record whose advanced OID chain truncates
+        // every later batch at recovery.
         self.schema.validate_chunk(chunk)?;
-        if self.wal.is_some() {
-            // The durable path pays a row conversion here; the columnar
-            // fast path below is untouched when no log is attached. The
-            // rows must validate *before* they are logged — a batch that
-            // then failed to apply would leave a phantom record whose
-            // advanced OID chain truncates every later batch at recovery.
-            let rows: Vec<Row> = chunk.rows().collect();
-            for row in &rows {
-                self.schema.validate_row(row)?;
-            }
-            self.log_rows(&rows)?;
+        if chunk.is_empty() {
+            return Ok(0);
         }
+        self.log_chunk(chunk);
         for (col, inc) in self.columns.iter_mut().zip(chunk.columns()) {
             col.append(inc)?;
         }
         self.arrived += chunk.len() as u64;
-        if !chunk.is_empty() {
-            self.record_arrival();
-        }
+        self.record_arrival();
         Ok(chunk.len())
     }
 

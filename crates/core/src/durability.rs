@@ -21,15 +21,18 @@
 //!   tables *with contents*, registered queries with their states) in one
 //!   atomic record, after which the meta log restarts empty.
 //!
+//! Stream records, table inserts and snapshot table contents are all
+//! `binio` blocks — the same columnar layout the binary wire carries.
+//!
 //! Recovery (see `DataCell::open`) applies the snapshot, replays the meta
-//! log over it, rebuilds every basket from its stream log via the bulk
-//! `Bat::extend_from_rows` append path, and restores each factory with
+//! log over it, rebuilds every basket by appending its stream log's
+//! blocks column-wise, and restores each factory with
 //! [`crate::Factory::restore`].
 
 use datacell_faults::Faults;
 use datacell_plan::ExecutionMode;
 use datacell_storage::binio::{self, ByteReader};
-use datacell_storage::{Chunk, Row, Schema, StorageError};
+use datacell_storage::{Chunk, Schema, StorageError};
 use datacell_wal::{io_for, StreamBatch, StreamLog, Wal, WalConfig, WalStats};
 
 use crate::error::{EngineError, Result};
@@ -54,8 +57,8 @@ pub(crate) enum MetaRecord {
     CreateTable { name: String, schema: Schema },
     /// `DROP` ran.
     Drop { name: String },
-    /// Rows were inserted into a table.
-    TableInsert { name: String, rows: Vec<Row> },
+    /// Rows were inserted into a table (typed by the table's schema).
+    TableInsert { name: String, chunk: Chunk },
     /// A continuous query was registered (with its initial state).
     Register { qid: u64, sql: String, mode: ExecutionMode, state: FactoryState },
     /// A continuous query was removed.
@@ -202,24 +205,10 @@ impl MetaRecord {
                 binio::put_u8(&mut buf, 3);
                 binio::put_str(&mut buf, name);
             }
-            MetaRecord::TableInsert { name, rows } => {
+            MetaRecord::TableInsert { name, chunk } => {
                 binio::put_u8(&mut buf, 4);
                 binio::put_str(&mut buf, name);
-                // Self-describing batch: infer a column type per position
-                // from the first non-NULL value (INSERT rows are already
-                // validated against the table schema, so this is exact up
-                // to NULL-only columns, which decode as NULL anyway).
-                let arity = rows.first().map_or(0, Vec::len);
-                let cols: Vec<datacell_storage::ColumnDef> = (0..arity)
-                    .map(|j| {
-                        let ty = rows
-                            .iter()
-                            .find_map(|row| row[j].data_type())
-                            .unwrap_or(datacell_storage::DataType::Int);
-                        datacell_storage::ColumnDef::new(format!("c{j}"), ty)
-                    })
-                    .collect();
-                binio::encode_batch(&mut buf, &Schema::new(cols), rows);
+                binio::encode_chunk(&mut buf, chunk);
             }
             MetaRecord::Register { qid, sql, mode, state } => {
                 binio::put_u8(&mut buf, 5);
@@ -261,7 +250,7 @@ impl MetaRecord {
             1 => MetaRecord::CreateStream { name: r.str()?, schema: binio::decode_schema(&mut r)? },
             2 => MetaRecord::CreateTable { name: r.str()?, schema: binio::decode_schema(&mut r)? },
             3 => MetaRecord::Drop { name: r.str()? },
-            4 => MetaRecord::TableInsert { name: r.str()?, rows: binio::decode_batch(&mut r)? },
+            4 => MetaRecord::TableInsert { name: r.str()?, chunk: binio::decode_chunk(&mut r)? },
             5 => MetaRecord::Register {
                 qid: r.u64()?,
                 sql: r.str()?,
@@ -281,7 +270,11 @@ impl MetaRecord {
 
 // ---- catalog snapshots ------------------------------------------------
 
-const SNAPSHOT_MAGIC: u32 = 0x4443_5331; // "DCS1"
+const SNAPSHOT_MAGIC: u32 = 0x4443_5332; // "DCS2": table contents are blocks
+
+/// Magic of the version-1 snapshot (row-batch era), recognised only to be
+/// refused by name.
+const SNAPSHOT_MAGIC_V1: u32 = 0x4443_5331; // "DCS1"
 
 /// A registered query as the snapshot stores it.
 #[derive(Debug, Clone, PartialEq)]
@@ -338,8 +331,14 @@ impl SnapshotData {
 
     fn decode(bytes: &[u8]) -> std::result::Result<SnapshotData, StorageError> {
         let mut r = ByteReader::new(bytes);
-        if r.u32()? != SNAPSHOT_MAGIC {
-            return Err(corrupt("bad snapshot magic"));
+        match r.u32()? {
+            SNAPSHOT_MAGIC => {}
+            SNAPSHOT_MAGIC_V1 => {
+                return Err(corrupt(
+                    "snapshot format DCS1 (version 1) is not supported; this build reads DCS2",
+                ))
+            }
+            _ => return Err(corrupt("bad snapshot magic")),
         }
         let epoch = r.u64()?;
         let next_qid = r.u64()?;
@@ -363,6 +362,21 @@ impl SnapshotData {
         }
         Ok(SnapshotData { epoch, next_qid, streams, tables, queries })
     }
+}
+
+// ---- stream records -----------------------------------------------------
+
+/// Decode one replayed stream-log record into the chunk it logged.
+pub(crate) fn decode_stream_batch(stream: &str, batch: &StreamBatch) -> Result<Chunk> {
+    let mut r = ByteReader::new(&batch.payload);
+    let chunk = binio::decode_chunk(&mut r).map_err(|e| werr(format!("stream {stream}: {e}")))?;
+    if chunk.len() != batch.rows as usize || !r.is_empty() {
+        return Err(werr(format!(
+            "stream {stream}: record at OID {} does not hold its {} rows",
+            batch.first_oid, batch.rows
+        )));
+    }
+    Ok(chunk)
 }
 
 // ---- the engine's WAL handle ------------------------------------------
@@ -466,10 +480,14 @@ mod tests {
             MetaRecord::Drop { name: "t1".into() },
             MetaRecord::TableInsert {
                 name: "t1".into(),
-                rows: vec![
-                    vec![Value::Int(1), Value::Str("a".into())],
-                    vec![Value::Null, Value::Null],
-                ],
+                chunk: Chunk::from_rows(
+                    &schema,
+                    &[
+                        vec![Value::Int(1), Value::Str("a".into())],
+                        vec![Value::Null, Value::Null],
+                    ],
+                )
+                .unwrap(),
             },
             MetaRecord::Register {
                 qid: 4,
@@ -517,6 +535,50 @@ mod tests {
         };
         let decoded = SnapshotData::decode(&snap.encode()).unwrap();
         assert_eq!(decoded, snap);
+    }
+
+    #[test]
+    fn version_1_snapshot_is_refused_by_name() {
+        let mut bytes = SnapshotData::default().encode();
+        bytes[..4].copy_from_slice(&SNAPSHOT_MAGIC_V1.to_le_bytes());
+        let err = SnapshotData::decode(&bytes).unwrap_err().to_string();
+        assert!(err.contains("DCS1") && err.contains("DCS2"), "{err}");
+    }
+
+    /// A WAL directory a pre-block build wrote (stream segments and a meta
+    /// log, no `DCLOG` format marker) must fail `DataCell::open` loudly —
+    /// not be misparsed, and not be silently treated as empty.
+    #[test]
+    fn old_format_directory_is_refused_by_open() {
+        let dir = std::env::temp_dir().join(format!(
+            "datacell-old-format-{}-{}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .map_or(0, |d| d.as_nanos())
+        ));
+        let segs = dir.join("streams").join("s");
+        std::fs::create_dir_all(&segs).unwrap();
+        let meta = MetaRecord::CreateStream {
+            name: "s".into(),
+            schema: Schema::of(&[("v", DataType::Int)]),
+        };
+        let mut framed = Vec::new();
+        datacell_wal::frame::write_record(&mut framed, &meta.encode()).unwrap();
+        std::fs::write(dir.join("meta.log"), &framed).unwrap();
+        let mut seg = Vec::new();
+        datacell_wal::frame::write_record(&mut seg, &[0u8; 40]).unwrap();
+        std::fs::write(segs.join("000000000000.seg"), &seg).unwrap();
+
+        match crate::DataCell::open(crate::DataCellConfig::durable(&dir)) {
+            Err(EngineError::Wal(msg)) => assert!(msg.contains("version 1"), "{msg}"),
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("an old-format WAL directory must not open"),
+        }
+        // Nothing was rewritten.
+        assert_eq!(std::fs::read(dir.join("meta.log")).unwrap(), framed);
+        assert_eq!(std::fs::read(segs.join("000000000000.seg")).unwrap(), seg);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -15,13 +15,14 @@ use datacell_faults::FaultPoint;
 use datacell_obs::{MetricValue, MetricsSnapshot, TraceEvent};
 use datacell_plan::{compile, execute, AnalyzeRow, Binder, ExecSources, ExecutionMode};
 use datacell_sql::{parse_statement, Statement};
+use datacell_storage::schema::validate_rows;
 use datacell_storage::{Catalog, Chunk, Row, Schema};
 use parking_lot::RwLock;
 
 use crate::admission::{MemoryBudget, ShedPolicy};
 use crate::basket::Basket;
 use crate::config::DataCellConfig;
-use crate::durability::{EngineWal, MetaRecord, QuerySnapshot, SnapshotData};
+use crate::durability::{decode_stream_batch, EngineWal, MetaRecord, QuerySnapshot, SnapshotData};
 use crate::emitter::{channel_obs, Emitter, EmitterSender};
 use crate::error::{EngineError, Result};
 use crate::factory::{BasketHandle, Factory, FireContext};
@@ -127,8 +128,8 @@ impl DataCell {
     /// Open an engine. Without `config.wal` this is a fresh in-memory
     /// engine; with it, the WAL directory is created or — if it already
     /// holds state — fully recovered: catalog, tables (with contents),
-    /// baskets (replayed from the stream logs through the bulk
-    /// `Bat::extend_from_rows` path), registered queries and their
+    /// baskets (stream-log blocks decoded to chunks and appended
+    /// column-wise), registered queries and their
     /// factories at their exact pre-crash positions, so emission resumes
     /// without duplicating or skipping a window fire.
     pub fn open(config: DataCellConfig) -> Result<DataCell> {
@@ -215,8 +216,8 @@ impl DataCell {
                     self.catalog.drop_entry(&name)?;
                     stream_paused.remove(&name.to_ascii_lowercase());
                 }
-                MetaRecord::TableInsert { name, rows } => {
-                    self.catalog.table(&name)?.write().insert_rows(&rows)?;
+                MetaRecord::TableInsert { name, chunk } => {
+                    self.catalog.table(&name)?.write().insert_chunk(&chunk)?;
                 }
                 MetaRecord::Register { qid, sql, mode, state } => {
                     self.next_qid = self.next_qid.max(qid + 1);
@@ -250,18 +251,15 @@ impl DataCell {
             }
         }
 
-        // 2. Baskets: replay each stream's log tail through the bulk
-        // row-append path, then attach the log for future appends.
+        // 2. Baskets: replay each stream's log tail block by block through
+        // the columnar append path, then attach the log for future appends.
         for name in self.catalog.stream_names() {
             let schema = self.catalog.schema_of(&name)?;
             let (log, batches) = wal.stream_log(&name)?;
             let base = batches.first().map_or(log.end_oid(), |b| b.first_oid);
             let mut basket = Basket::restore(&name, schema, base);
             for batch in &batches {
-                let mut r = datacell_storage::binio::ByteReader::new(&batch.payload);
-                let rows = datacell_storage::binio::decode_batch(&mut r)
-                    .map_err(|e| EngineError::Wal(format!("stream {name}: {e}")))?;
-                basket.push_rows(&rows)?;
+                basket.push_chunk(&decode_stream_batch(&name, batch)?)?;
             }
             basket.attach_wal(log);
             basket.set_trace(self.config.observability);
@@ -507,8 +505,13 @@ impl DataCell {
                     Ok(ExecOutcome::Inserted(self.push_rows(&table, &converted)?))
                 } else {
                     let handle = self.catalog.table(&table)?;
-                    let n = handle.write().insert_rows(&converted)?;
-                    self.log_meta(MetaRecord::TableInsert { name: table, rows: converted })?;
+                    let (n, chunk) = {
+                        let mut t = handle.write();
+                        validate_rows(t.schema(), &converted)?;
+                        let chunk = Chunk::from_rows(t.schema(), &converted)?;
+                        (t.insert_chunk(&chunk)?, chunk)
+                    };
+                    self.log_meta(MetaRecord::TableInsert { name: table, chunk })?;
                     Ok(ExecOutcome::Inserted(n))
                 }
             }

@@ -11,7 +11,7 @@
 //! `--fail-on-err` the exit status is 1 if the server ever answered
 //! `ERR`.
 //!
-//! `--binary` negotiates `HELLO BINARY 1` after connecting and speaks
+//! `--binary` negotiates `HELLO BINARY 2` after connecting and speaks
 //! length-prefixed frames on the wire: stdin lines travel as TEXT
 //! frames, and incoming CHUNK frames are printed in the same
 //! `CHUNK <id> <n> <seq>` + CSV-rows form the text protocol uses — a

@@ -201,11 +201,12 @@ impl Client {
             }
             let mut decoded = false;
             while let Some((tag, payload)) =
-                self.fbuf.next_frame().map_err(|e| ClientError::Protocol(e.0))?
+                self.fbuf.peek().map_err(|e| ClientError::Protocol(e.0))?
             {
-                match frame::decode_frame(tag, &payload)
-                    .map_err(|e| ClientError::Protocol(e.0))?
-                {
+                // Decode straight out of the buffer, then drop the frame.
+                let frame = frame::decode_frame(tag, payload);
+                self.fbuf.consume();
+                match frame.map_err(|e| ClientError::Protocol(e.0))? {
                     Frame::Text(text) => {
                         for line in text.lines() {
                             self.pending.push_back(Wire::Line(line.to_owned()));

@@ -2,7 +2,7 @@
 //! by `HELLO BINARY <version>` — no sockets here, so every rule is
 //! unit-testable (the binary counterpart of [`crate::protocol`]).
 //!
-//! After the text handshake (`HELLO BINARY 1` → `OK HELLO BINARY 1`)
+//! After the text handshake (`HELLO BINARY 2` → `OK HELLO BINARY 2`)
 //! **both** directions switch to frames:
 //!
 //! ```text
@@ -11,11 +11,15 @@
 //! tag 0x00 TEXT   payload = UTF-8 text.
 //!                 client → server: one command line (old grammar);
 //!                 server → client: reply line(s), incl. framed reports.
-//! tag 0x01 CHUNK  payload = query:u64 seq:u64 binio::encode_chunk
+//! tag 0x01 CHUNK  payload = query:u64 seq:u64 block
 //!                 server → client only: one result chunk, columnar.
-//! tag 0x02 PUSH   payload = stream:str(u32-prefixed) binio::encode_batch
+//! tag 0x02 PUSH   payload = stream:str(u32-prefixed) block (oid_base 0)
 //!                 client → server only: bulk ingest, columnar.
 //! ```
+//!
+//! `block` is the one columnar layout drawn in [`binio`]'s module docs —
+//! the same bytes the WAL logs — and both tags decode it with
+//! [`binio::decode_chunk`].
 //!
 //! `CHUNK` payloads are what the server's encode-once cache stores: the
 //! bytes embed only (query, seq) — both stable across subscribers — so a
@@ -110,10 +114,12 @@ pub fn encode_text(text: &str) -> Vec<u8> {
     buf
 }
 
-/// Encode a CHUNK frame — header and payload in one allocation. These are
-/// the bytes the encode-once cache retains and every subscriber shares.
+/// Encode a CHUNK frame — header and payload in one exactly sized
+/// allocation. These are the bytes the encode-once cache retains and
+/// every subscriber shares.
 pub fn encode_chunk_frame(query: u64, seq: u64, chunk: &Chunk) -> Result<Vec<u8>, ProtocolError> {
-    let mut buf = Vec::new();
+    // lint:allow(bounded-decode): encode side, sized from an in-memory chunk
+    let mut buf = Vec::with_capacity(binio::FRAME_HEADER_LEN + 16 + binio::encoded_len(chunk));
     let start = binio::begin_frame(&mut buf, tag_byte(FrameTag::Chunk));
     binio::put_u64(&mut buf, query);
     binio::put_u64(&mut buf, seq);
@@ -122,16 +128,21 @@ pub fn encode_chunk_frame(query: u64, seq: u64, chunk: &Chunk) -> Result<Vec<u8>
     Ok(buf)
 }
 
-/// Encode a PUSH frame for `rows` against the stream's schema.
+/// Encode a PUSH frame for `rows` against the stream's schema: the rows
+/// are pivoted into a chunk of the schema's column types (the same bulk
+/// path a basket append takes), then written as one block.
 pub fn encode_push_frame(
     stream: &str,
     schema: &Schema,
     rows: &[Row],
 ) -> Result<Vec<u8>, ProtocolError> {
-    let mut buf = Vec::new();
+    let chunk = Chunk::from_rows(schema, rows).map_err(from_storage)?;
+    let body = 4 + stream.len() + binio::encoded_len(&chunk);
+    // lint:allow(bounded-decode): encode side, sized from an in-memory chunk
+    let mut buf = Vec::with_capacity(binio::FRAME_HEADER_LEN + body);
     let start = binio::begin_frame(&mut buf, tag_byte(FrameTag::Push));
     binio::put_str(&mut buf, stream);
-    binio::encode_batch(&mut buf, schema, rows);
+    binio::encode_chunk(&mut buf, &chunk);
     binio::end_frame(&mut buf, start).map_err(from_storage)?;
     Ok(buf)
 }
@@ -149,22 +160,26 @@ pub fn decode_frame(tag: u8, payload: &[u8]) -> Result<Frame, ProtocolError> {
             let mut r = ByteReader::new(payload);
             let query = r.u64().map_err(from_storage)?;
             let seq = r.u64().map_err(from_storage)?;
-            let chunk = binio::decode_chunk(&mut r).map_err(from_storage)?;
-            if !r.is_empty() {
-                return Err(err("trailing bytes after CHUNK payload"));
-            }
+            let chunk = decode_block(&mut r, "CHUNK")?;
             Ok(Frame::Chunk { query, seq, chunk })
         }
         FrameTag::Push => {
             let mut r = ByteReader::new(payload);
             let stream = r.str().map_err(from_storage)?;
-            let chunk = binio::decode_batch_chunk(&mut r).map_err(from_storage)?;
-            if !r.is_empty() {
-                return Err(err("trailing bytes after PUSH payload"));
-            }
+            let chunk = decode_block(&mut r, "PUSH")?;
             Ok(Frame::Push { stream, chunk })
         }
     }
+}
+
+/// The block that ends a CHUNK or PUSH payload; trailing bytes mean a
+/// desynced or forged frame.
+fn decode_block(r: &mut ByteReader<'_>, what: &str) -> Result<Chunk, ProtocolError> {
+    let chunk = binio::decode_chunk(r).map_err(from_storage)?;
+    if !r.is_empty() {
+        return Err(err(format!("trailing bytes after {what} payload")));
+    }
+    Ok(chunk)
 }
 
 // ---- incremental reader -----------------------------------------------
@@ -319,7 +334,7 @@ mod tests {
     #[test]
     fn frames_cut_across_arbitrary_read_boundaries() {
         let chunk = sample_chunk();
-        let mut stream = encode_text("OK HELLO BINARY 1");
+        let mut stream = encode_text("OK HELLO BINARY 2");
         stream.extend(encode_chunk_frame(1, 1, &chunk).unwrap());
         stream.extend(encode_chunk_frame(1, 2, &chunk).unwrap());
         // Feed one byte at a time: every frame must still come out whole.
@@ -333,7 +348,7 @@ mod tests {
                 }
             }
             assert_eq!(out.len(), 3, "step {step}");
-            assert_eq!(out[0], Frame::Text("OK HELLO BINARY 1".into()));
+            assert_eq!(out[0], Frame::Text("OK HELLO BINARY 2".into()));
             assert!(matches!(&out[2], Frame::Chunk { seq: 2, .. }));
             assert!(fb.is_empty());
         }

@@ -12,7 +12,7 @@
 //!   `DataCellConfig::emitter_capacity`).
 //!
 //! Every connection starts in the line-oriented text protocol; a client
-//! may upgrade with `HELLO BINARY 1`, after which both directions speak
+//! may upgrade with `HELLO BINARY 2`, after which both directions speak
 //! length-prefixed frames (see [`frame`]) — result chunks are then
 //! encoded **once** per (query, seq) and the same bytes fan out to every
 //! binary subscriber.

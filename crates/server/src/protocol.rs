@@ -590,14 +590,14 @@ mod tests {
 
     #[test]
     fn parse_negotiation_commands() {
-        assert_eq!(parse_command("HELLO BINARY 1").unwrap(), Command::Hello(1));
+        assert_eq!(parse_command("HELLO BINARY 2").unwrap(), Command::Hello(2));
         assert_eq!(parse_command("hello binary 2").unwrap(), Command::Hello(2));
         assert_eq!(parse_command("SCHEMA trades").unwrap(), Command::Schema("trades".into()));
         assert!(parse_command("HELLO").is_err());
         assert!(parse_command("HELLO BINARY").is_err());
         assert!(parse_command("HELLO BINARY x").is_err());
         assert!(parse_command("HELLO TEXT 1").is_err());
-        assert!(parse_command("HELLO BINARY 1 junk").is_err());
+        assert!(parse_command("HELLO BINARY 2 junk").is_err());
         assert!(parse_command("SCHEMA").is_err());
         assert!(parse_command("SCHEMA a b").is_err());
     }

@@ -328,15 +328,10 @@ fn process_frames(ctx: &Ctx<'_>, conn: &mut Conn) {
         if conn.closing || conn.dead {
             return;
         }
-        match conn.rbuf.next_frame() {
+        // Decode straight out of the buffer, then drop the frame.
+        let frame = match conn.rbuf.peek() {
             Ok(None) => return,
-            Ok(Some((tag, payload))) => match decode_frame(tag, &payload) {
-                // The frame boundary held, only the payload is bad:
-                // answer ERR and stay in sync (same recovery contract as
-                // an unparseable text line).
-                Err(e) => reply_err(ctx, conn, &e.0),
-                Ok(frame) => handle_frame(ctx, conn, frame),
-            },
+            Ok(Some((tag, payload))) => decode_frame(tag, payload),
             Err(e) => {
                 // Framing itself is broken (oversize length, unknown
                 // tag): no resync point exists — report and hang up.
@@ -344,6 +339,14 @@ fn process_frames(ctx: &Ctx<'_>, conn: &mut Conn) {
                 conn.closing = true;
                 return;
             }
+        };
+        conn.rbuf.consume();
+        match frame {
+            // The frame boundary held, only the payload is bad: answer
+            // ERR and stay in sync (same recovery contract as an
+            // unparseable text line).
+            Err(e) => reply_err(ctx, conn, &e.0),
+            Ok(frame) => handle_frame(ctx, conn, frame),
         }
     }
 }

@@ -84,7 +84,7 @@ fn canon(rows: &[Row]) -> Vec<String> {
 
 // ---- negotiation -------------------------------------------------------
 
-/// `HELLO BINARY 1` flips the connection to frames; an unsupported
+/// `HELLO BINARY 2` flips the connection to frames; an unsupported
 /// version gets an ERR and the session stays text and usable.
 #[test]
 fn hello_negotiates_and_unsupported_version_stays_text() {
@@ -362,8 +362,8 @@ fn binary_resuming_subscription_survives_server_restart() {
 /// frame I/O is then up to the caller).
 fn negotiate_raw(addr: std::net::SocketAddr) -> TcpStream {
     let mut raw = TcpStream::connect(addr).unwrap();
-    raw.write_all(b"HELLO BINARY 1\n").unwrap();
-    assert_eq!(read_line_blocking(&mut raw), "OK HELLO BINARY 1");
+    raw.write_all(b"HELLO BINARY 2\n").unwrap();
+    assert_eq!(read_line_blocking(&mut raw), "OK HELLO BINARY 2");
     raw
 }
 

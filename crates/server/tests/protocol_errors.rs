@@ -167,3 +167,20 @@ fn errors_do_not_tear_down_other_sessions() {
     assert!(stats.errors >= 1);
     assert_eq!(stats.rows_pushed, 1);
 }
+
+/// A version-1 binary client (row-batch frame bodies) is refused at the
+/// handshake with the unsupported-version `ERR`, and the connection stays
+/// in text mode — it never gets to send a frame the server would misread.
+#[test]
+fn hello_binary_1_is_refused_and_session_stays_text() {
+    let server = start_server();
+    let mut c = connect(&server);
+    send(&mut c, "HELLO BINARY 1\n");
+    let reply = read_line(&mut c);
+    assert!(
+        reply.starts_with("ERR unsupported binary wire version 1 (supported: 2)"),
+        "got {reply:?}"
+    );
+    assert_alive(&mut c);
+    server.shutdown();
+}

@@ -172,14 +172,15 @@ impl Bat {
     pub fn extend_from_rows(&mut self, rows: &[Row], col: usize) -> Result<()> {
         let old_len = self.data.len();
         self.data.extend_from_rows(rows, col)?;
-        let any_null = rows.iter().any(|r| r[col].is_null());
+        let valid = |i: usize| rows[i].get(col).is_some_and(|v| !v.is_null());
+        let any_null = (0..rows.len()).any(|i| !valid(i));
         match (&mut self.validity, any_null) {
             (None, false) => {}
-            (Some(v), _) => v.extend_with(rows.len(), |i| !rows[i][col].is_null()),
+            (Some(v), _) => v.extend_with(rows.len(), valid),
             (None, true) => {
                 let mut v = Segment::with_capacity(old_len + rows.len());
                 v.extend_with(old_len, |_| true);
-                v.extend_with(rows.len(), |i| !rows[i][col].is_null());
+                v.extend_with(rows.len(), valid);
                 self.validity = Some(v);
             }
         }

@@ -1,25 +1,47 @@
 //! Panic-free binary (de)serialization of the kernel's data shapes — the
-//! byte layer underneath the durability subsystem (`datacell-wal`).
+//! byte layer under the binary wire protocol (`datacell-server`'s frames)
+//! and the durability subsystem (`datacell-wal`).
 //!
-//! Three shapes are covered, each self-describing and NULL-aware for all
-//! five value types (`Bool`, `Int`, `Float`, `Str`, `Timestamp`):
+//! Two shapes are covered:
 //!
-//! * **row batches** — what a receptor/`PUSH` append logs: column-major,
-//!   one validity byte-map per column that holds a NULL;
-//! * **chunks** — full BAT sets with their OID heads (catalog snapshots:
-//!   table contents, incremental ring state);
+//! * **blocks** — one columnar layout for every chunk that crosses a
+//!   process or disk boundary: PUSH and CHUNK frame bodies, WAL stream
+//!   records, table inserts and snapshot table contents;
 //! * **schemas** — column name/type/NOT NULL triples.
 //!
+//! # The block layout
+//!
+//! ```text
+//! block   := ncols:u32 nrows:u32 col*ncols
+//! col     := type:u8 flags:u8 oid_base:u64
+//!            [validity: ⌈nrows/8⌉ bytes, bit i = row i valid, LSB-first,
+//!             present iff flags & HAS_NULLS]
+//!            payload
+//! payload := Int | Timestamp | Float : nrows × 8 bytes LE (NULL slots hold 0;
+//!                                      floats as IEEE bits, NaN payloads kept)
+//!          | Bool                    : nrows bytes (0 / 1)
+//!          | Str                     : (nrows+1) × u32 LE offsets (first 0,
+//!                                      monotone, on char boundaries), then
+//!                                      offsets[nrows] bytes of UTF-8
+//! ```
+//!
+//! Integers are little-endian throughout. `oid_base` is the column's head
+//! (PUSH writes 0; the receiving basket renumbers), so any [`Chunk`]
+//! round-trips exactly. Encoding reserves the exact size once
+//! ([`encoded_len`]) and copies each fixed-width column in bulk; decoding
+//! checks one length against the remaining input, then converts a column
+//! at a time into the `Vec<T>` that becomes its [`Segment`].
+//!
 //! Every decode path is *total*: arbitrary (truncated, bit-flipped) input
-//! yields `StorageError::Corrupt`, never a panic and never an oversized
-//! allocation — the WAL's fault-injection suite drives random bytes
-//! through here. Integers are little-endian throughout.
+//! yields `StorageError::Corrupt`, never a panic and never an allocation
+//! larger than the input justifies — the wire fuzzers and the WAL's
+//! fault-injection suite drive random bytes through here.
 
 use crate::bat::Bat;
+use crate::chunk::Chunk;
 use crate::error::{Result, StorageError};
 use crate::schema::{ColumnDef, Schema};
-use crate::types::{DataType, Oid};
-use crate::value::{Row, Value};
+use crate::types::DataType;
 use crate::vector::{Segment, Vector};
 
 /// Stable on-disk tag of a [`DataType`].
@@ -68,11 +90,6 @@ pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
 
 /// Append a little-endian `i64`.
 pub fn put_i64(buf: &mut Vec<u8>, v: i64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Append a little-endian `f64` (IEEE bits).
-pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -146,11 +163,6 @@ impl<'a> ByteReader<'a> {
         Ok(i64::from_le_bytes(self.array()?))
     }
 
-    /// Read a little-endian `f64`.
-    pub fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_le_bytes(self.array()?))
-    }
-
     /// Read a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String> {
         let n = self.u32()? as usize;
@@ -163,7 +175,8 @@ impl<'a> ByteReader<'a> {
 
 /// Version of the binary wire-frame layout negotiated by `HELLO BINARY`.
 /// Bump on any layout change; peers refuse versions they don't speak.
-pub const WIRE_VERSION: u32 = 1;
+/// Version 2: PUSH and CHUNK bodies are [blocks](self#the-block-layout).
+pub const WIRE_VERSION: u32 = 2;
 
 /// Hard ceiling on one frame's payload length (16 MiB). A longer length
 /// field is corrupt or hostile: the connection cannot be resynced past an
@@ -249,213 +262,178 @@ pub fn decode_schema(r: &mut ByteReader<'_>) -> Result<Schema> {
     Ok(Schema::new(cols))
 }
 
-// ---- row batches ------------------------------------------------------
+// ---- blocks -----------------------------------------------------------
 
-/// Encode a validated row batch column-major against `schema`'s column
-/// types. Values are stored coerced to the column type (the same implicit
-/// casts ingestion applies), so decode yields exactly what a basket or
-/// table would hold. NULL slots write a placeholder value and a 0 in the
-/// column's validity map.
-pub fn encode_batch(buf: &mut Vec<u8>, schema: &Schema, rows: &[Row]) {
-    put_u32(buf, schema.arity() as u32);
-    put_u32(buf, rows.len() as u32);
-    for (j, col) in schema.columns().iter().enumerate() {
-        put_u8(buf, type_tag(col.ty));
-        // `row.get(j)` instead of `row[j]`: a ragged row (shorter than the
-        // schema arity) encodes its missing cells as NULL instead of
-        // aborting mid-WAL-append.
-        let any_null = rows.iter().any(|r| r.get(j).is_none_or(Value::is_null));
-        put_u8(buf, any_null as u8);
-        if any_null {
-            for row in rows {
-                let valid = row.get(j).is_some_and(|v| !v.is_null());
-                put_u8(buf, valid as u8);
-            }
-        }
-        for row in rows {
-            let v = row
-                .get(j)
-                .and_then(|v| v.coerce(col.ty))
-                .unwrap_or(Value::Null);
-            encode_cell(buf, col.ty, &v);
-        }
-    }
-}
+/// Column flag: a validity bitmap follows the column header.
+const HAS_NULLS: u8 = 1;
 
-fn encode_cell(buf: &mut Vec<u8>, ty: DataType, v: &Value) {
-    match ty {
-        DataType::Bool => put_u8(buf, matches!(v, Value::Bool(true)) as u8),
-        DataType::Int => put_i64(buf, v.as_int().unwrap_or(0)),
-        DataType::Timestamp => put_i64(buf, v.as_int().unwrap_or(0)),
-        DataType::Float => put_f64(buf, v.as_float().unwrap_or(0.0)),
-        DataType::Str => put_str(buf, v.as_str().unwrap_or("")),
-    }
-}
+/// Bytes of a column header: type, flags, `oid_base`.
+const COL_HEADER_LEN: usize = 10;
 
-fn decode_cell(r: &mut ByteReader<'_>, ty: DataType) -> Result<Value> {
-    Ok(match ty {
-        DataType::Bool => Value::Bool(r.u8()? != 0),
-        DataType::Int => Value::Int(r.i64()?),
-        DataType::Timestamp => Value::Timestamp(r.i64()?),
-        DataType::Float => Value::Float(r.f64()?),
-        DataType::Str => Value::Str(r.str()?),
-    })
-}
-
-/// Decode a batch written by [`encode_batch`] back into rows (the replay
-/// path feeds these to `Basket::push_rows`, i.e. the bulk
-/// `Bat::extend_from_rows` append).
-pub fn decode_batch(r: &mut ByteReader<'_>) -> Result<Vec<Row>> {
-    let ncols = r.u32()? as usize;
-    let nrows = r.u32()? as usize;
-    // Plausibility bounds before any allocation: every column costs at
-    // least two header bytes, every row at least one byte per column, and
-    // therefore every *cell* at least one byte — so the ncols×nrows
-    // product must fit the remaining input too (a corrupt header must
-    // not trigger a huge `resize_with` or per-row `with_capacity`). The
-    // loop below still validates every byte.
-    if ncols > r.remaining() / 2
-        || (nrows > 0 && (ncols == 0 || nrows > r.remaining()))
-        || ncols.saturating_mul(nrows) > r.remaining()
-    {
-        return Err(corrupt(format!("implausible batch header: {ncols}x{nrows}")));
-    }
-    let mut rows: Vec<Row> = Vec::new();
-    rows.resize_with(nrows, || Vec::with_capacity(ncols));
-    for _ in 0..ncols {
-        let ty = type_from_tag(r.u8()?)?;
-        let any_null = r.u8()? != 0;
-        let validity = if any_null { Some(r.bytes(nrows)?) } else { None };
-        for (i, row) in rows.iter_mut().enumerate() {
-            let v = decode_cell(r, ty)?;
-            if validity.is_some_and(|v| v[i] == 0) {
-                row.push(Value::Null);
-            } else {
-                row.push(v);
-            }
-        }
-    }
-    Ok(rows)
-}
-
-/// Decode a batch written by [`encode_batch`] straight into a columnar
-/// [`Chunk`](crate::chunk::Chunk) — no intermediate `Vec<Row>`. Each
-/// column's cells land in one typed buffer that becomes the [`Segment`]
-/// backing a [`Bat`], so a binary `PUSH` frame can be appended to a
-/// basket with `Vector::append` instead of being re-pivoted row by row.
-/// OID heads start at 0; the receiving basket renumbers on append.
-pub fn decode_batch_chunk(r: &mut ByteReader<'_>) -> Result<crate::chunk::Chunk> {
-    let ncols = r.u32()? as usize;
-    let nrows = r.u32()? as usize;
-    // Same plausibility bounds as [`decode_batch`]: every `with_capacity`
-    // below is capped by the remaining input length.
-    if ncols > r.remaining() / 2
-        || (nrows > 0 && (ncols == 0 || nrows > r.remaining()))
-        || ncols.saturating_mul(nrows) > r.remaining()
-    {
-        return Err(corrupt(format!("implausible batch header: {ncols}x{nrows}")));
-    }
-    let mut cols: Vec<Bat> = Vec::with_capacity(ncols);
-    for _ in 0..ncols {
-        let ty = type_from_tag(r.u8()?)?;
-        let any_null = r.u8()? != 0;
-        let validity: Option<Vec<bool>> = if any_null {
-            Some(r.bytes(nrows)?.iter().map(|&b| b != 0).collect())
-        } else {
-            None
-        };
-        let data = match ty {
-            DataType::Bool => {
-                let mut v: Vec<bool> = Vec::with_capacity(nrows);
-                for _ in 0..nrows {
-                    v.push(r.u8()? != 0);
-                }
-                Vector::Bool(Segment::from_vec(v))
-            }
-            DataType::Int | DataType::Timestamp => {
-                let mut v: Vec<i64> = Vec::with_capacity(nrows);
-                for _ in 0..nrows {
-                    v.push(r.i64()?);
-                }
-                let seg = Segment::from_vec(v);
-                if ty == DataType::Int {
-                    Vector::Int(seg)
-                } else {
-                    Vector::Timestamp(seg)
-                }
-            }
-            DataType::Float => {
-                let mut v: Vec<f64> = Vec::with_capacity(nrows);
-                for _ in 0..nrows {
-                    v.push(r.f64()?);
-                }
-                Vector::Float(Segment::from_vec(v))
-            }
-            DataType::Str => {
-                let mut v: Vec<String> = Vec::with_capacity(nrows);
-                for _ in 0..nrows {
-                    v.push(r.str()?);
-                }
-                Vector::Str(Segment::from_vec(v))
+/// Exact size of `chunk` encoded as a block — what [`encode_chunk`]
+/// reserves, and what frame/WAL writers add to their own headers to size
+/// a buffer once.
+pub fn encoded_len(chunk: &Chunk) -> usize {
+    let mut len = 8;
+    for col in chunk.columns() {
+        let n = col.len();
+        len += COL_HEADER_LEN + if col.has_nulls() { n.div_ceil(8) } else { 0 };
+        len += match col.data() {
+            Vector::Bool(_) => n,
+            Vector::Int(_) | Vector::Float(_) | Vector::Timestamp(_) => n * 8,
+            Vector::Str(v) => {
+                4 * (n + 1) + str_cells(v, col.validity()).map(str::len).sum::<usize>()
             }
         };
-        cols.push(Bat::from_parts(data, 0, validity)?);
     }
-    crate::chunk::Chunk::new(cols)
+    len
 }
 
-// ---- chunks -----------------------------------------------------------
-
-/// Encode a chunk: every column's OID base, type, validity and values.
-pub fn encode_chunk(buf: &mut Vec<u8>, chunk: &crate::chunk::Chunk) {
+/// Encode `chunk` as one block (see the [module docs](self)).
+pub fn encode_chunk(buf: &mut Vec<u8>, chunk: &Chunk) {
+    // lint:allow(bounded-decode): encode side, sized from an in-memory chunk
+    buf.reserve(encoded_len(chunk));
     put_u32(buf, chunk.arity() as u32);
     put_u32(buf, chunk.len() as u32);
     for col in chunk.columns() {
+        let validity = col.validity();
         put_u8(buf, type_tag(col.data_type()));
+        put_u8(buf, if validity.is_some() { HAS_NULLS } else { 0 });
         put_u64(buf, col.oid_base());
-        let any_null = col.has_nulls();
-        put_u8(buf, any_null as u8);
-        if any_null {
-            for i in 0..col.len() {
-                put_u8(buf, !col.is_null_at(i) as u8);
-            }
+        if let Some(valid) = validity {
+            buf.extend(valid.chunks(8).map(|bits| {
+                bits.iter().enumerate().fold(0u8, |b, (k, &ok)| b | (ok as u8) << k)
+            }));
         }
-        for i in 0..col.len() {
-            let v = col.get_at(i);
-            let v = v.coerce(col.data_type()).unwrap_or(Value::Null);
-            encode_cell(buf, col.data_type(), &v);
+        match col.data() {
+            Vector::Bool(v) => put_cells(buf, v, validity, |b: bool| [b as u8]),
+            Vector::Int(v) | Vector::Timestamp(v) => put_cells(buf, v, validity, i64::to_le_bytes),
+            Vector::Float(v) => put_cells(buf, v, validity, |x: f64| x.to_bits().to_le_bytes()),
+            Vector::Str(v) => {
+                let mut end = 0u32;
+                put_u32(buf, end);
+                for s in str_cells(v, validity) {
+                    end = end.wrapping_add(s.len() as u32);
+                    put_u32(buf, end);
+                }
+                for s in str_cells(v, validity) {
+                    buf.extend_from_slice(s.as_bytes());
+                }
+            }
         }
     }
 }
 
-/// Decode a chunk written by [`encode_chunk`].
-pub fn decode_chunk(r: &mut ByteReader<'_>) -> Result<crate::chunk::Chunk> {
+/// A string column's cells with NULL slots read as `""`.
+fn str_cells<'a>(
+    v: &'a [String],
+    validity: Option<&'a [bool]>,
+) -> impl Iterator<Item = &'a str> + 'a {
+    v.iter().enumerate().map(move |(i, s)| match validity {
+        Some(valid) if !valid[i] => "",
+        _ => s.as_str(),
+    })
+}
+
+/// Bulk-append fixed-width cells: one resize, then one converted copy per
+/// cell (a plain memcpy for little-endian targets). NULL slots stay 0.
+fn put_cells<T: Copy, const N: usize>(
+    buf: &mut Vec<u8>,
+    vals: &[T],
+    validity: Option<&[bool]>,
+    le: impl Fn(T) -> [u8; N],
+) {
+    let start = buf.len();
+    buf.resize(start + vals.len() * N, 0);
+    let out = buf[start..].chunks_exact_mut(N);
+    match validity {
+        None => out.zip(vals).for_each(|(dst, &v)| dst.copy_from_slice(&le(v))),
+        Some(valid) => out
+            .zip(vals)
+            .zip(valid)
+            .filter(|(_, &ok)| ok)
+            .for_each(|((dst, &v), _)| dst.copy_from_slice(&le(v))),
+    }
+}
+
+/// Decode one block written by [`encode_chunk`].
+pub fn decode_chunk(r: &mut ByteReader<'_>) -> Result<Chunk> {
     let ncols = r.u32()? as usize;
     let nrows = r.u32()? as usize;
-    let mut cols: Vec<Bat> = Vec::new();
-    for _ in 0..ncols {
-        let ty = type_from_tag(r.u8()?)?;
-        let base: Oid = r.u64()?;
-        let any_null = r.u8()? != 0;
-        let validity: Option<Vec<bool>> = if any_null {
-            Some(r.bytes(nrows)?.iter().map(|&b| b != 0).collect())
-        } else {
-            None
-        };
-        let mut data = Vector::new(ty);
-        for _ in 0..nrows {
-            let v = decode_cell(r, ty)?;
-            data.push(&v).map_err(|e| corrupt(format!("bad cell: {e}")))?;
-        }
-        cols.push(Bat::from_parts(data, base, validity)?);
+    // Plausibility before any allocation: every column costs its header
+    // plus at least one byte per row (Bool is the narrowest payload), so
+    // ncols × (header + nrows) must fit the remaining input. A block with
+    // no columns has no rows.
+    if ncols.saturating_mul(COL_HEADER_LEN.saturating_add(nrows)) > r.remaining()
+        || (ncols == 0 && nrows > 0)
+    {
+        return Err(corrupt(format!("implausible block header: {ncols}x{nrows}")));
     }
-    crate::chunk::Chunk::new(cols)
+    let mut cols: Vec<Bat> = Vec::with_capacity(ncols);
+    for _ in 0..ncols {
+        cols.push(decode_column(r, nrows)?);
+    }
+    Chunk::new(cols)
+}
+
+fn decode_column(r: &mut ByteReader<'_>, nrows: usize) -> Result<Bat> {
+    let ty = type_from_tag(r.u8()?)?;
+    let flags = r.u8()?;
+    if flags & !HAS_NULLS != 0 {
+        return Err(corrupt(format!("unknown column flags {flags:#04x}")));
+    }
+    let base = r.u64()?;
+    let bits = if flags & HAS_NULLS != 0 { Some(r.bytes(nrows.div_ceil(8))?) } else { None };
+    let data = match ty {
+        DataType::Bool => Vector::Bool(cells(r, nrows, |[b]: [u8; 1]| b != 0)?.into()),
+        DataType::Int => Vector::Int(cells(r, nrows, i64::from_le_bytes)?.into()),
+        DataType::Timestamp => Vector::Timestamp(cells(r, nrows, i64::from_le_bytes)?.into()),
+        DataType::Float => {
+            Vector::Float(cells(r, nrows, |b| f64::from_bits(u64::from_le_bytes(b)))?.into())
+        }
+        DataType::Str => Vector::Str(Segment::from_vec(decode_strs(r, nrows)?)),
+    };
+    // Unpacked only once the payload proved well-formed.
+    let validity = bits.map(|b| (0..nrows).map(|i| b[i / 8] >> (i % 8) & 1 != 0).collect());
+    Bat::from_parts(data, base, validity)
+}
+
+/// Read `nrows` fixed-width cells: one length check, then one converted
+/// copy per cell into an exactly sized `Vec`.
+fn cells<T, const N: usize>(
+    r: &mut ByteReader<'_>,
+    nrows: usize,
+    from_le: impl Fn([u8; N]) -> T,
+) -> Result<Vec<T>> {
+    let raw = r.bytes(nrows.saturating_mul(N))?;
+    Ok(raw.chunks_exact(N).map(|c| from_le(le(c))).collect())
+}
+
+/// A `chunks_exact(N)` item as an array (the fallback is unreachable).
+fn le<const N: usize>(c: &[u8]) -> [u8; N] {
+    c.try_into().unwrap_or([0; N])
+}
+
+/// Read a Str payload. Offsets and UTF-8 are validated in full before
+/// the column is allocated.
+fn decode_strs(r: &mut ByteReader<'_>, nrows: usize) -> Result<Vec<String>> {
+    let raw = r.bytes(nrows.saturating_add(1).saturating_mul(4))?;
+    let offsets = || raw.chunks_exact(4).map(|c| u32::from_le_bytes(le(c)) as usize);
+    let total = offsets().next_back().unwrap_or(0);
+    let text = std::str::from_utf8(r.bytes(total)?)
+        .map_err(|_| corrupt("string column is not valid UTF-8"))?;
+    let pairs = || offsets().zip(offsets().skip(1));
+    let well_formed = pairs().all(|(lo, hi)| lo <= hi && text.is_char_boundary(hi));
+    if offsets().next() != Some(0) || !well_formed {
+        return Err(corrupt("string offsets must rise from 0 along char boundaries"));
+    }
+    Ok(pairs().map(|(lo, hi)| text.get(lo..hi).unwrap_or_default().to_owned()).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunk::Chunk;
+    use crate::value::{Row, Value};
 
     fn all_types_schema() -> Schema {
         Schema::of(&[
@@ -480,20 +458,28 @@ mod tests {
             vec![
                 Value::Bool(false),
                 Value::Int(i64::MAX),
-                Value::Int(7), // int→float coercion on encode
+                Value::Int(7), // int→float coercion on the pivot
                 Value::Str(String::new()),
-                Value::Int(3), // int→timestamp coercion on encode
+                Value::Int(3), // int→timestamp coercion on the pivot
             ],
         ]
     }
 
+    fn roundtrip(chunk: &Chunk) -> Chunk {
+        let mut buf = Vec::new();
+        encode_chunk(&mut buf, chunk);
+        assert_eq!(buf.len(), encoded_len(chunk), "encoded_len must be exact");
+        let mut r = ByteReader::new(&buf);
+        let out = decode_chunk(&mut r).unwrap();
+        assert!(r.is_empty());
+        out
+    }
+
     #[test]
     fn batch_roundtrip_all_types_and_nulls() {
-        let schema = all_types_schema();
         let rows = sample_rows();
-        let mut buf = Vec::new();
-        encode_batch(&mut buf, &schema, &rows);
-        let decoded = decode_batch(&mut ByteReader::new(&buf)).unwrap();
+        let chunk = Chunk::from_rows(&all_types_schema(), &rows).unwrap();
+        let decoded: Vec<Row> = roundtrip(&chunk).rows().collect();
         assert_eq!(decoded.len(), 3);
         assert_eq!(decoded[0], rows[0]);
         assert!(decoded[1].iter().all(Value::is_null));
@@ -504,10 +490,9 @@ mod tests {
 
     #[test]
     fn empty_batch_roundtrip() {
-        let schema = all_types_schema();
-        let mut buf = Vec::new();
-        encode_batch(&mut buf, &schema, &[]);
-        assert!(decode_batch(&mut ByteReader::new(&buf)).unwrap().is_empty());
+        let chunk = Chunk::from_rows(&all_types_schema(), &[]).unwrap();
+        assert_eq!(roundtrip(&chunk), chunk);
+        assert_eq!(roundtrip(&Chunk::empty()), Chunk::empty());
     }
 
     #[test]
@@ -527,55 +512,37 @@ mod tests {
         let mut a = Bat::with_base(DataType::Int, 100);
         a.push(&Value::Int(1)).unwrap();
         a.push(&Value::Null).unwrap();
-        let mut b = Bat::with_base(DataType::Str, 100);
+        let mut b = Bat::with_base(DataType::Str, 7);
         b.push(&Value::Str("x".into())).unwrap();
         b.push(&Value::Str("y".into())).unwrap();
         let chunk = Chunk::new(vec![a, b]).unwrap();
-        let mut buf = Vec::new();
-        encode_chunk(&mut buf, &chunk);
-        let decoded = decode_chunk(&mut ByteReader::new(&buf)).unwrap();
+        let decoded = roundtrip(&chunk);
         assert_eq!(decoded, chunk);
         assert_eq!(decoded.column(0).oid_base(), 100);
+        assert_eq!(decoded.column(1).oid_base(), 7);
         assert_eq!(decoded.column(0).get_at(1), Value::Null);
     }
 
     #[test]
     fn decode_never_panics_on_garbage() {
         // Truncations of a valid encoding plus pure noise: every prefix
-        // must fail cleanly (or, for complete prefixes, succeed).
-        let schema = all_types_schema();
+        // must fail cleanly.
+        let chunk = Chunk::from_rows(&all_types_schema(), &sample_rows()).unwrap();
         let mut buf = Vec::new();
-        encode_batch(&mut buf, &schema, &sample_rows());
+        encode_chunk(&mut buf, &chunk);
         for cut in 0..buf.len() {
-            let _ = decode_batch(&mut ByteReader::new(&buf[..cut]));
+            assert!(decode_chunk(&mut ByteReader::new(&buf[..cut])).is_err(), "cut {cut}");
         }
         for noise in [&[0xffu8; 16][..], &[0x01; 3], &[]] {
-            let _ = decode_batch(&mut ByteReader::new(noise));
             let _ = decode_chunk(&mut ByteReader::new(noise));
             let _ = decode_schema(&mut ByteReader::new(noise));
         }
-        // A length field pointing far past the buffer must not allocate
-        // or panic.
+        // A row count far past the buffer fails before allocating (the
+        // hostile-header suite in tests/block_codec.rs probes the rest).
         let mut evil = Vec::new();
-        put_u32(&mut evil, 2);
-        put_u32(&mut evil, u32::MAX);
-        put_u8(&mut evil, type_tag(DataType::Int));
-        put_u8(&mut evil, 0);
-        assert!(decode_batch(&mut ByteReader::new(&evil)).is_err());
-        // Likewise a huge column count (would otherwise drive a
-        // multi-GiB per-row `with_capacity`).
-        let mut evil = Vec::new();
-        put_u32(&mut evil, u32::MAX);
         put_u32(&mut evil, 1);
-        evil.extend_from_slice(&[0u8; 8]);
-        assert!(decode_batch(&mut ByteReader::new(&evil)).is_err());
-        // And a header whose ncols×nrows product explodes even though
-        // each factor alone looks plausible for the buffer size.
-        let mut evil = Vec::new();
-        put_u32(&mut evil, 400);
-        put_u32(&mut evil, 1000);
-        evil.extend_from_slice(&vec![0u8; 1000]);
-        assert!(decode_batch(&mut ByteReader::new(&evil)).is_err());
+        put_u32(&mut evil, u32::MAX);
+        assert!(decode_chunk(&mut ByteReader::new(&evil)).is_err());
     }
 
     #[test]

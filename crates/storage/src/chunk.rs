@@ -8,8 +8,10 @@ use std::time::Instant;
 
 use crate::bat::Bat;
 use crate::error::{Result, StorageError};
+use crate::schema::Schema;
 use crate::types::Oid;
 use crate::value::{Row, Value};
+use crate::vector::Vector;
 
 /// Observability side-band: the wall-clock tick at which the newest tuple
 /// contributing to this chunk entered a receptor basket.
@@ -144,14 +146,49 @@ impl Chunk {
         Ok(())
     }
 
+    /// Pivot rows into a chunk typed by `schema`, one bulk
+    /// [`Bat::extend_from_rows`] pass per column (values coerced to the
+    /// column type; a ragged row's missing cells read as NULL). Heads
+    /// start at OID 0. Callers that need NOT NULL checked validate first.
+    pub fn from_rows(schema: &Schema, rows: &[Row]) -> Result<Self> {
+        let mut columns = Vec::with_capacity(schema.arity());
+        for (j, def) in schema.columns().iter().enumerate() {
+            let mut bat = Bat::new(def.ty);
+            bat.extend_from_rows(rows, j)?;
+            columns.push(bat);
+        }
+        Chunk::new(columns)
+    }
+
     /// Extract row `i` as values.
     pub fn row(&self, i: usize) -> Row {
         self.columns.iter().map(|c| c.get_at(i)).collect()
     }
 
-    /// Iterate all rows (boundary/debug use only — O(rows × cols) Values).
-    pub fn rows(&self) -> impl Iterator<Item = Row> + '_ {
-        (0..self.len()).map(move |i| self.row(i))
+    /// All rows (boundary use: wire clients, rendering, tests). Built
+    /// column-wise — every row allocated once at full arity, then filled
+    /// one typed column at a time — rather than one `get_at` per cell.
+    pub fn rows(&self) -> std::vec::IntoIter<Row> {
+        let mut rows: Vec<Row> =
+            (0..self.len()).map(|_| Vec::with_capacity(self.arity())).collect();
+        for col in &self.columns {
+            fn fill<T>(rows: &mut [Row], vals: &[T], cell: impl Fn(&T) -> Value) {
+                rows.iter_mut().zip(vals).for_each(|(row, v)| row.push(cell(v)));
+            }
+            match col.data() {
+                Vector::Bool(v) => fill(&mut rows, v, |&b| Value::Bool(b)),
+                Vector::Int(v) => fill(&mut rows, v, |&x| Value::Int(x)),
+                Vector::Float(v) => fill(&mut rows, v, |&x| Value::Float(x)),
+                Vector::Str(v) => fill(&mut rows, v, |s| Value::Str(s.clone())),
+                Vector::Timestamp(v) => fill(&mut rows, v, |&t| Value::Timestamp(t)),
+            }
+            let valid = col.validity().unwrap_or_default();
+            let nulls = rows.iter_mut().zip(valid).filter(|(_, &ok)| !ok);
+            for cell in nulls.filter_map(|(row, _)| row.last_mut()) {
+                *cell = Value::Null;
+            }
+        }
+        rows.into_iter()
     }
 
     /// Gather physical positions across every column.

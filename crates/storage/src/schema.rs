@@ -2,7 +2,7 @@
 
 use crate::error::{Result, StorageError};
 use crate::types::DataType;
-use crate::value::{Row, Value};
+use crate::value::Row;
 
 /// Definition of one column.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -164,18 +164,10 @@ pub fn validate_rows(schema: &Schema, rows: &[Row]) -> Result<()> {
     Ok(())
 }
 
-/// Helper used by validation paths that need a typed NULL check.
-pub fn value_matches(def: &ColumnDef, v: &Value) -> bool {
-    if v.is_null() {
-        !def.not_null
-    } else {
-        v.fits(def.ty)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Value;
 
     fn schema() -> Schema {
         Schema::new(vec![

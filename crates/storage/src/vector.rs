@@ -340,7 +340,8 @@ impl Vector {
 
     /// Append column `col` of every row in one pass (bulk columnar append:
     /// one ownership acquisition and one reservation for the whole batch).
-    /// On a coercion error the vector is rolled back to its prior length.
+    /// A row too short to hold `col` contributes a NULL. On a coercion
+    /// error the vector is rolled back to its prior length.
     pub fn extend_from_rows(&mut self, rows: &[Row], col: usize) -> Result<()> {
         if rows.is_empty() {
             return Ok(());
@@ -354,7 +355,7 @@ impl Vector {
                 let mut err = None;
                 let mut pushed = 0usize;
                 for row in rows {
-                    let value = &row[col];
+                    let value = row.get(col).unwrap_or(&Value::Null);
                     match value.coerce(ty) {
                         Some($variant(x)) => buf.push(x),
                         Some(Value::Null) => buf.push($null),

@@ -12,6 +12,15 @@ pub enum WalError {
     /// integrity check. Log *tails* never produce this — damaged tails are
     /// dropped and reported through [`WalStats`](crate::WalStats) instead.
     Corrupt(String),
+    /// The directory was written in an on-disk format this build does not
+    /// read. Refused outright: there is one reader, for the current
+    /// format, and guessing at old bytes would misparse or start empty.
+    UnsupportedFormat {
+        /// Version found on disk (1 = a log file without the format marker).
+        found: u32,
+        /// The only version this build reads.
+        supported: u32,
+    },
     /// A write/fsync kept failing past the configured retry budget (or
     /// failed with a persistent condition such as `ENOSPC` that retrying
     /// cannot fix). The engine reacts by dropping to degraded durability
@@ -31,6 +40,12 @@ impl fmt::Display for WalError {
         match self {
             WalError::Io(e) => write!(f, "wal i/o error: {e}"),
             WalError::Corrupt(msg) => write!(f, "wal corrupt: {msg}"),
+            WalError::UnsupportedFormat { found, supported } => write!(
+                f,
+                "wal format version {found} is not supported (this build reads version \
+                 {supported}); open the directory with the build that wrote it, or start \
+                 from an empty one"
+            ),
             WalError::RetriesExhausted { op, attempts, last } => {
                 write!(f, "wal {op} failed after {attempts} attempt(s): {last}")
             }
@@ -42,7 +57,9 @@ impl std::error::Error for WalError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             WalError::Io(e) => Some(e),
-            WalError::Corrupt(_) | WalError::RetriesExhausted { .. } => None,
+            WalError::Corrupt(_)
+            | WalError::UnsupportedFormat { .. }
+            | WalError::RetriesExhausted { .. } => None,
         }
     }
 }

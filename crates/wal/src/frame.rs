@@ -1,4 +1,5 @@
-//! Record framing: every log record is `[len: u32 LE][crc32: u32 LE][payload]`.
+//! Record framing: every log file is `LOG_MAGIC record*`, every record
+//! `[len: u32 LE][crc32: u32 LE][payload]`.
 //!
 //! The CRC covers the payload only; the length is cross-checked against the
 //! remaining file size (and a sanity ceiling) before any allocation, so a
@@ -10,6 +11,44 @@
 use std::io::{self, Write};
 
 use crate::crc::crc32;
+use crate::error::{Result, WalError};
+
+/// On-disk format of every WAL file, named by [`LOG_MAGIC`]. Covers all
+/// record layouts — stream segments (columnar blocks since version 2),
+/// meta records and the snapshot payload — so bump it whenever any of
+/// them changes.
+pub const FORMAT_VERSION: u32 = 2;
+
+/// The format marker every log file (stream segment, meta log) starts
+/// with: `DCLOG`, a NUL, then [`FORMAT_VERSION`] as a `u16` LE. It is
+/// written in the same write as the file's first record, so it costs no
+/// extra I/O and is exactly as durable as that record.
+pub const LOG_MAGIC: [u8; 8] = [b'D', b'C', b'L', b'O', b'G', 0, FORMAT_VERSION as u8, 0];
+
+/// Check a log file image's format marker. `Ok(Some(off))`: records start
+/// at `off` (0 for an empty file). `Ok(None)`: the marker itself is
+/// damaged (a torn first write, a bit flip, a zero-filled block left by a
+/// crash) — the whole file is a damaged tail. `Err(UnsupportedFormat)`:
+/// the file starts with an intact record frame of at least `min_record`
+/// payload bytes (the smallest record the old format ever wrote, never
+/// below 1), i.e. a build that wrote no marker (version 1) produced it;
+/// it is refused rather than misread. Zero bytes frame as an intact empty
+/// record (`crc32(b"") == 0`), so without that floor a zero-filled
+/// current-format file would be mistaken for an old one.
+pub fn check_marker(image: &[u8], min_record: usize) -> Result<Option<usize>> {
+    if image.is_empty() {
+        return Ok(Some(0));
+    }
+    if image.starts_with(&LOG_MAGIC) {
+        return Ok(Some(LOG_MAGIC.len()));
+    }
+    match FrameScanner::new(image).next() {
+        Some(first) if first.len() >= min_record.max(1) => {
+            Err(WalError::UnsupportedFormat { found: 1, supported: FORMAT_VERSION })
+        }
+        _ => Ok(None),
+    }
+}
 
 /// Frame header size in bytes.
 pub const HEADER_BYTES: usize = 8;
@@ -18,16 +57,22 @@ pub const HEADER_BYTES: usize = 8;
 /// cause a multi-GiB allocation).
 pub const MAX_RECORD_BYTES: u32 = 64 << 20;
 
-/// Frame one record into an owned buffer (header + payload) — used where
-/// the write itself must be a single fallible operation against the I/O
-/// seam, so a short write can be detected and the torn frame repaired.
-pub fn frame_bytes(payload: &[u8]) -> Vec<u8> {
+/// Frame one record in place: clear `buf`, write the file's
+/// [`LOG_MAGIC`] first when `first_in_file`, leave room for the header,
+/// let `write` append the payload, then patch length and CRC over what
+/// it wrote — marker, header and payload in one buffer, no payload copy.
+pub fn frame_into(buf: &mut Vec<u8>, first_in_file: bool, write: impl FnOnce(&mut Vec<u8>)) {
+    buf.clear();
+    if first_in_file {
+        buf.extend_from_slice(&LOG_MAGIC);
+    }
+    let start = buf.len();
+    buf.extend_from_slice(&[0; HEADER_BYTES]);
+    write(buf);
+    let (head, payload) = buf[start..].split_at_mut(HEADER_BYTES);
     debug_assert!(payload.len() as u64 <= MAX_RECORD_BYTES as u64);
-    let mut buf = Vec::with_capacity(HEADER_BYTES + payload.len());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&crc32(payload).to_le_bytes());
-    buf.extend_from_slice(payload);
-    buf
+    head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    head[4..].copy_from_slice(&crc32(payload).to_le_bytes());
 }
 
 /// Append one framed record; returns the bytes written.
@@ -172,6 +217,30 @@ mod tests {
         assert_eq!(s.next(), None);
         assert!(s.is_damaged());
         assert_eq!(s.dropped_bytes(), buf.len() as u64);
+    }
+
+    #[test]
+    fn markers_classify_files() {
+        assert_eq!(check_marker(&[], 1).unwrap(), Some(0));
+        let mut current = Vec::new();
+        frame_into(&mut current, true, |b| b.extend_from_slice(b"rec"));
+        assert_eq!(check_marker(&current, 1).unwrap(), Some(LOG_MAGIC.len()));
+        // A pre-marker file starts with an intact frame: version 1.
+        assert!(matches!(
+            check_marker(&log_of(&[b"old"]), 1),
+            Err(WalError::UnsupportedFormat { found: 1, .. })
+        ));
+        // ... unless that frame is shorter than any old record could be.
+        assert_eq!(check_marker(&log_of(&[b"old"]), 12).unwrap(), None);
+        // A torn or flipped marker is damage, not a version.
+        assert_eq!(check_marker(&LOG_MAGIC[..3], 1).unwrap(), None);
+        current[2] ^= 0x10;
+        assert_eq!(check_marker(&current, 1).unwrap(), None);
+        // Zero fill (a crash can leave it in place of the first write)
+        // frames as an intact empty record; it is damage, not version 1.
+        for len in [8, 9, 64, 4096] {
+            assert_eq!(check_marker(&vec![0u8; len], 1).unwrap(), None, "{len} zero bytes");
+        }
     }
 
     #[test]

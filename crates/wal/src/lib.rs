@@ -5,9 +5,11 @@
 //! durability first among them — extend to the streaming state. This crate
 //! provides the mechanism:
 //!
-//! * [`frame`] — CRC-32-guarded record framing (`[len][crc][payload]`);
-//!   scanning a log keeps the longest valid prefix and reports the damaged
-//!   tail, never panicking on torn or bit-flipped bytes;
+//! * [`frame`] — CRC-32-guarded record framing (`[len][crc][payload]`)
+//!   and the format marker every log file starts with; scanning a log
+//!   keeps the longest valid prefix and reports the damaged tail, never
+//!   panicking on torn or bit-flipped bytes, and a file written in
+//!   another format is refused, never misread;
 //! * [`segment`] — per-stream append-only segment logs with rotation;
 //!   basket retirement doubles as the truncation point (whole retired
 //!   segments are deleted);
@@ -49,4 +51,5 @@ pub use error::{Result, WalError};
 pub use io::{io_for, FaultyIo, RealIo, RetryPolicy, WalIo};
 pub use segment::{StreamBatch, StreamLog};
 pub use stats::{SharedStats, WalStats};
+pub use frame::FORMAT_VERSION;
 pub use wal::{SyncPolicy, Wal, WalConfig};

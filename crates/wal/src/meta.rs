@@ -9,6 +9,10 @@
 //! tmp-file + rename) compacts the meta log: the snapshot captures the
 //! whole catalog + query state, so the meta log restarts empty.
 //!
+//! The meta log starts with the WAL's format marker like every segment
+//! does (see [`crate::frame::LOG_MAGIC`]); the snapshot payload carries
+//! its own magic, checked by the engine.
+//!
 //! Payload layouts are owned by the engine (`datacell-core`); this module
 //! moves opaque byte records durably and honestly.
 
@@ -20,7 +24,7 @@ use std::sync::Arc;
 use datacell_faults::FaultPoint;
 
 use crate::error::{Result, WalError};
-use crate::frame::{frame_bytes, write_record, FrameScanner};
+use crate::frame::{check_marker, frame_into, write_record, FrameScanner, HEADER_BYTES, LOG_MAGIC};
 use crate::io::{with_retry, RealIo, RetryPolicy, WalIo};
 use crate::stats::SharedStats;
 use crate::SyncPolicy;
@@ -71,16 +75,17 @@ impl MetaLog {
         let mut records = Vec::new();
         if path.exists() {
             let image = fs::read(&path)?;
-            let mut scanner = FrameScanner::new(&image);
+            // A damaged marker leaves nothing valid in the file.
+            let start = check_marker(&image, 1)?;
+            let body = start.and_then(|s| image.get(s..)).unwrap_or_default();
+            let mut scanner = FrameScanner::new(body);
             for payload in scanner.by_ref() {
                 records.push(payload.to_vec());
             }
-            if scanner.dropped_bytes() > 0 {
-                stats.add_dropped(scanner.dropped_bytes());
-                OpenOptions::new()
-                    .write(true)
-                    .open(&path)?
-                    .set_len(scanner.valid_bytes())?;
+            let valid = start.map_or(0, |s| s as u64 + scanner.valid_bytes());
+            if valid < image.len() as u64 {
+                stats.add_dropped(image.len() as u64 - valid);
+                OpenOptions::new().write(true).open(&path)?.set_len(valid)?;
             }
         }
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
@@ -95,7 +100,8 @@ impl MetaLog {
 
     /// Append one record.
     pub fn append(&mut self, payload: &[u8]) -> Result<()> {
-        let framed = frame_bytes(payload);
+        let mut framed = Vec::with_capacity(LOG_MAGIC.len() + HEADER_BYTES + payload.len());
+        frame_into(&mut framed, self.bytes == 0, |b| b.extend_from_slice(payload));
         // `bytes` tracks the file length exactly (open measures it, reset
         // zeroes it), so it doubles as the repair point for torn frames.
         let base = self.bytes;

@@ -4,11 +4,19 @@
 //! (`000000000042.seg`), each a sequence of CRC-framed records:
 //!
 //! ```text
-//! payload := [first_oid: u64 LE][nrows: u32 LE][batch bytes]
+//! payload := [first_oid: u64 LE][nrows: u32 LE][block]
 //! ```
 //!
+//! Each segment file starts with the WAL's format marker
+//! ([`LOG_MAGIC`](crate::frame::LOG_MAGIC)), written together with its
+//! first record; a segment written by a build without markers is refused
+//! with [`WalError::UnsupportedFormat`](crate::WalError), never misread.
+//! `block` is the batch's columns in the one columnar layout drawn in
+//! `datacell_storage::binio` (the same bytes a binary PUSH frame carries).
 //! `first_oid` is the basket's high-water mark when the batch was appended,
-//! so every record states exactly which OID range it materializes. The
+//! so every record states exactly which OID range it materializes. Header,
+//! OID range and block are written into one reused buffer and framed in
+//! place ([`StreamLog::append_with`]). The
 //! active (last) segment takes appends; once it outgrows the configured
 //! segment size the next append seals it and starts a new file. Basket
 //! retirement drives truncation: a sealed segment whose whole OID range is
@@ -33,7 +41,7 @@ use std::sync::Arc;
 use datacell_faults::FaultPoint;
 
 use crate::error::Result;
-use crate::frame::{frame_bytes, FrameScanner};
+use crate::frame::{check_marker, frame_into, FrameScanner};
 use crate::io::{with_retry, RealIo, RetryPolicy, WalIo};
 use crate::stats::SharedStats;
 use crate::SyncPolicy;
@@ -45,7 +53,7 @@ pub struct StreamBatch {
     pub first_oid: u64,
     /// Tuples in the batch.
     pub rows: u32,
-    /// Serialized rows (see `datacell_storage::binio::encode_batch`).
+    /// The batch as a block (see `datacell_storage::binio`).
     pub payload: Vec<u8>,
 }
 
@@ -74,6 +82,8 @@ pub struct StreamLog {
     end_oid: u64,
     /// Batches appended since the last fsync.
     unsynced: u64,
+    /// The framed record under construction, reused across appends.
+    scratch: Vec<u8>,
 }
 
 fn segment_path(dir: &Path, seq: u64) -> PathBuf {
@@ -124,14 +134,18 @@ impl StreamLog {
         for (i, &seq) in seqs.iter().enumerate() {
             let path = segment_path(&dir, seq);
             let image = fs::read(&path)?;
-            let mut scanner = FrameScanner::new(&image);
-            let mut valid = scanner.valid_bytes();
+            // A damaged marker leaves nothing valid in the file.
+            let start = check_marker(&image, RECORD_HEADER)?;
+            let body = start.and_then(|s| image.get(s..)).unwrap_or_default();
+            let start = start.unwrap_or(0) as u64;
+            let mut scanner = FrameScanner::new(body);
+            let mut valid = start;
             while let Some(payload) = scanner.next() {
                 match decode_stream_record(payload, expected) {
                     Some(batch) => {
                         expected = Some(batch.first_oid + batch.rows as u64);
                         batches.push(batch);
-                        valid = scanner.valid_bytes();
+                        valid = start + scanner.valid_bytes();
                     }
                     None => break, // malformed or discontinuous: damage here
                 }
@@ -183,6 +197,7 @@ impl StreamLog {
             active_bytes,
             end_oid: expected.unwrap_or(0),
             unsynced: 0,
+            scratch: Vec::new(),
         };
         Ok((log, batches))
     }
@@ -193,31 +208,30 @@ impl StreamLog {
     }
 
     /// Append one ingest batch. `first_oid` must continue the OID sequence
-    /// (the basket's high-water mark); `payload` is the serialized rows.
-    pub fn append_batch(&mut self, first_oid: u64, nrows: u32, payload: &[u8]) -> Result<()> {
+    /// (the basket's high-water mark); `encode` writes the batch's block
+    /// straight into the record buffer, after the frame header and the
+    /// OID range; length and CRC are patched in afterwards. The record
+    /// leaves in one write without ever being copied.
+    pub fn append_with(
+        &mut self,
+        first_oid: u64,
+        nrows: u32,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<()> {
         debug_assert!(self.end_oid == 0 || first_oid == self.end_oid || self.sealed.is_empty());
         let append_start = std::time::Instant::now();
         if self.active_bytes >= self.segment_bytes && self.active_bytes > 0 {
             self.rotate(first_oid)?;
         }
-        let mut record = Vec::with_capacity(12 + payload.len());
-        record.extend_from_slice(&first_oid.to_le_bytes());
-        record.extend_from_slice(&nrows.to_le_bytes());
-        record.extend_from_slice(payload);
-        let framed = frame_bytes(&record);
-        let base = self.active_bytes;
-        let io = self.io.clone();
-        let active = &mut self.active;
-        let written = with_retry(&self.retry, &self.stats, "segment append", |retrying| {
-            if retrying {
-                // A failed attempt may have left a torn frame behind; drop
-                // it first or the retried record would land *after* the
-                // partial one and be unreachable past the damage.
-                active.set_len(base)?;
-            }
-            io.write_all(active, &framed, FaultPoint::WalAppend)?;
-            Ok(framed.len() as u64)
-        })?;
+        let mut framed = std::mem::take(&mut self.scratch);
+        frame_into(&mut framed, self.active_bytes == 0, |buf| {
+            buf.extend_from_slice(&first_oid.to_le_bytes());
+            buf.extend_from_slice(&nrows.to_le_bytes());
+            encode(buf);
+        });
+        let written = self.write_framed(&framed);
+        self.scratch = framed;
+        let written = written?;
         self.active_bytes += written;
         self.end_oid = first_oid + nrows as u64;
         self.unsynced += 1;
@@ -233,6 +247,24 @@ impl StreamLog {
         }
         self.stats.record_append_us(append_start.elapsed().as_micros().min(u64::MAX as u128) as u64);
         Ok(())
+    }
+
+    /// Write one framed record at the end of the active segment, retrying
+    /// per policy; returns the bytes written.
+    fn write_framed(&mut self, framed: &[u8]) -> Result<u64> {
+        let base = self.active_bytes;
+        let io = self.io.clone();
+        let active = &mut self.active;
+        with_retry(&self.retry, &self.stats, "segment append", |retrying| {
+            if retrying {
+                // A failed attempt may have left a torn frame behind; drop
+                // it first or the retried record would land *after* the
+                // partial one and be unreachable past the damage.
+                active.set_len(base)?;
+            }
+            io.write_all(active, framed, FaultPoint::WalAppend)?;
+            Ok(framed.len() as u64)
+        })
     }
 
     fn rotate(&mut self, end_oid_hint: u64) -> Result<()> {
@@ -289,18 +321,22 @@ impl StreamLog {
     }
 }
 
+/// Bytes of `first_oid` + `nrows` ahead of every record's block — also
+/// the smallest record any format version ever wrote.
+const RECORD_HEADER: usize = 12;
+
 /// Parse one stream record payload; `expected` is the OID the batch must
 /// start at (None for the first record). Returns None on any malformation
 /// — the caller treats that as tail damage.
 fn decode_stream_record(payload: &[u8], expected: Option<u64>) -> Option<StreamBatch> {
     let oid_raw: [u8; 8] = payload.get(..8)?.try_into().ok()?;
-    let rows_raw: [u8; 4] = payload.get(8..12)?.try_into().ok()?;
+    let rows_raw: [u8; 4] = payload.get(8..RECORD_HEADER)?.try_into().ok()?;
     let first_oid = u64::from_le_bytes(oid_raw);
     let rows = u32::from_le_bytes(rows_raw);
     if expected.is_some_and(|e| first_oid != e) {
         return None;
     }
-    Some(StreamBatch { first_oid, rows, payload: payload.get(12..)?.to_vec() })
+    Some(StreamBatch { first_oid, rows, payload: payload.get(RECORD_HEADER..)?.to_vec() })
 }
 
 #[cfg(test)]
@@ -320,8 +356,8 @@ mod tests {
         {
             let (mut log, replayed) = open_at(&dir, 1 << 20);
             assert!(replayed.is_empty());
-            log.append_batch(0, 2, b"aa").unwrap();
-            log.append_batch(2, 3, b"bbb").unwrap();
+            log.append_with(0, 2, |buf| buf.extend_from_slice(b"aa")).unwrap();
+            log.append_with(2, 3, |buf| buf.extend_from_slice(b"bbb")).unwrap();
         }
         let (log, replayed) = open_at(&dir, 1 << 20);
         assert_eq!(replayed.len(), 2);
@@ -338,7 +374,7 @@ mod tests {
             // Tiny segments: every append rotates.
             let (mut log, _) = open_at(&dir, 1);
             for i in 0..5u64 {
-                log.append_batch(i * 10, 10, &[b'x'; 16]).unwrap();
+                log.append_with(i * 10, 10, |buf| buf.extend_from_slice(&[b'x'; 16])).unwrap();
             }
             assert_eq!(log.segment_count(), 5);
             // Watermark at 30 retires the first three sealed segments.
@@ -358,7 +394,7 @@ mod tests {
         {
             let (mut log, _) = open_at(&dir, 1);
             for i in 0..4u64 {
-                log.append_batch(i * 2, 2, &[i as u8; 8]).unwrap();
+                log.append_with(i * 2, 2, |buf| buf.extend_from_slice(&[i as u8; 8])).unwrap();
             }
         }
         // Corrupt the second segment's payload.
@@ -383,7 +419,7 @@ mod tests {
         // The repaired log accepts appends and replays cleanly.
         let (mut log, replayed) = open_at(&dir, 1 << 20);
         assert_eq!(replayed.len(), 1);
-        log.append_batch(2, 2, b"new").unwrap();
+        log.append_with(2, 2, |buf| buf.extend_from_slice(b"new")).unwrap();
         drop(log);
         let (_, replayed) = open_at(&dir, 1 << 20);
         assert_eq!(replayed.len(), 2);
@@ -395,7 +431,7 @@ mod tests {
         let dir = tmpdir("seglog");
         {
             let (mut log, _) = open_at(&dir, 1 << 20);
-            log.append_batch(0, 2, b"aa").unwrap();
+            log.append_with(0, 2, |buf| buf.extend_from_slice(b"aa")).unwrap();
             // Simulate a buggy writer / lost record by appending a
             // discontinuous batch directly.
             let mut record = Vec::new();
@@ -411,16 +447,81 @@ mod tests {
     }
 
     #[test]
+    fn segments_carry_the_marker_and_old_ones_are_refused() {
+        let dir = tmpdir("seglog");
+        {
+            let (mut log, _) = open_at(&dir, 1 << 20);
+            log.append_with(0, 1, |buf| buf.extend_from_slice(b"a")).unwrap();
+            log.append_with(1, 1, |buf| buf.extend_from_slice(b"b")).unwrap();
+        }
+        let image = fs::read(segment_path(&dir, 0)).unwrap();
+        assert!(image.starts_with(&crate::frame::LOG_MAGIC));
+        assert_eq!(open_at(&dir, 1 << 20).1.len(), 2);
+        fs::remove_dir_all(&dir).ok();
+
+        // A segment as a pre-marker build wrote it: frames from byte 0.
+        let dir = tmpdir("seglog");
+        let mut record = Vec::new();
+        record.extend_from_slice(&0u64.to_le_bytes());
+        record.extend_from_slice(&1u32.to_le_bytes());
+        let mut old = Vec::new();
+        write_record(&mut old, &record).unwrap();
+        fs::write(segment_path(&dir, 0), &old).unwrap();
+        let stats = Arc::new(SharedStats::default());
+        let err = StreamLog::open(&dir, SyncPolicy::Never, 1 << 20, stats).unwrap_err();
+        assert!(err.to_string().contains("version 1"), "{err}");
+        // Refusing touched nothing.
+        assert_eq!(fs::read(segment_path(&dir, 0)).unwrap(), old);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn zero_filled_segment_is_damage_not_version_1() {
+        // A crash can leave a new segment as zero-filled blocks. Zero bytes
+        // frame as an intact empty record (crc32("") == 0), but no stream
+        // record was ever that short: it is a damaged tail to truncate.
+        let dir = tmpdir("seglog");
+        {
+            let (mut log, _) = open_at(&dir, 1);
+            log.append_with(0, 2, |buf| buf.extend_from_slice(b"aa")).unwrap();
+        }
+        fs::write(segment_path(&dir, 1), vec![0u8; 4096]).unwrap();
+        let stats = Arc::new(SharedStats::default());
+        let (mut log, replayed) =
+            StreamLog::open(&dir, SyncPolicy::Never, 1 << 20, stats.clone()).unwrap();
+        assert_eq!(replayed.len(), 1);
+        assert_eq!(log.end_oid(), 2);
+        assert_eq!(stats.snapshot().dropped_bytes, 4096);
+        // The truncated segment takes the next append, marker first.
+        log.append_with(2, 1, |buf| buf.extend_from_slice(b"b")).unwrap();
+        drop(log);
+        assert!(fs::read(segment_path(&dir, 1)).unwrap().starts_with(&crate::frame::LOG_MAGIC));
+        assert_eq!(open_at(&dir, 1 << 20).1.len(), 2);
+        fs::remove_dir_all(&dir).ok();
+
+        // The same for the only segment, at any zero-fill length.
+        for len in [8, 12, 20, 4096] {
+            let dir = tmpdir("seglog");
+            fs::write(segment_path(&dir, 0), vec![0u8; len]).unwrap();
+            let (log, replayed) = open_at(&dir, 1 << 20);
+            assert!(replayed.is_empty(), "{len} zero bytes");
+            assert_eq!(log.end_oid(), 0);
+            assert_eq!(fs::metadata(segment_path(&dir, 0)).unwrap().len(), 0);
+            fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
     fn sync_policies_apply() {
         let dir = tmpdir("seglog");
         let stats = Arc::new(SharedStats::default());
         let (mut log, _) =
             StreamLog::open(&dir, SyncPolicy::EveryN(2), 1 << 20, stats.clone()).unwrap();
-        log.append_batch(0, 1, b"a").unwrap();
+        log.append_with(0, 1, |buf| buf.extend_from_slice(b"a")).unwrap();
         assert_eq!(stats.snapshot().synced_batches, 0);
-        log.append_batch(1, 1, b"b").unwrap();
+        log.append_with(1, 1, |buf| buf.extend_from_slice(b"b")).unwrap();
         assert_eq!(stats.snapshot().synced_batches, 2);
-        log.append_batch(2, 1, b"c").unwrap();
+        log.append_with(2, 1, |buf| buf.extend_from_slice(b"c")).unwrap();
         log.sync().unwrap();
         assert_eq!(stats.snapshot().synced_batches, 3);
         assert_eq!(stats.snapshot().appended_batches, 3);

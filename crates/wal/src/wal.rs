@@ -178,7 +178,9 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::LOG_MAGIC;
     use crate::testutil::tmpdir;
+    use crate::{WalError, FORMAT_VERSION};
 
     #[test]
     fn sync_policy_parsing() {
@@ -215,13 +217,83 @@ mod tests {
     }
 
     #[test]
+    fn pre_marker_directory_is_refused_as_version_1() {
+        let dir = tmpdir("wal");
+        // What a pre-marker build left behind: a meta log and a stream
+        // segment whose files start straight with a record frame.
+        let mut old = Vec::new();
+        crate::frame::write_record(&mut old, b"old record").unwrap();
+        fs::write(dir.join("meta.log"), &old).unwrap();
+        match Wal::open(WalConfig::at(&dir)) {
+            Err(e @ WalError::UnsupportedFormat { found: 1, supported: FORMAT_VERSION }) => {
+                assert!(e.to_string().contains("version 1"), "{e}");
+            }
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("an old-format directory must be refused"),
+        }
+        // Refusal touched nothing.
+        assert_eq!(fs::read(dir.join("meta.log")).unwrap(), old);
+
+        fs::remove_file(dir.join("meta.log")).unwrap();
+        let seg_dir = dir.join("streams/s");
+        fs::create_dir_all(&seg_dir).unwrap();
+        // A stream record: first_oid, nrows, then the batch.
+        let mut old = Vec::new();
+        crate::frame::write_record(&mut old, &[0u8; 20]).unwrap();
+        fs::write(seg_dir.join("000000000000.seg"), &old).unwrap();
+        let (wal, _, _) = Wal::open(WalConfig::at(&dir)).unwrap();
+        assert!(matches!(
+            wal.stream_log("s"),
+            Err(WalError::UnsupportedFormat { found: 1, .. })
+        ));
+        assert_eq!(fs::read(seg_dir.join("000000000000.seg")).unwrap(), old);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn zero_filled_meta_log_is_damage_not_version_1() {
+        // What a crash right after a meta-log reset can leave: zero-filled
+        // blocks where the first record was being written.
+        let dir = tmpdir("wal");
+        fs::write(dir.join("meta.log"), vec![0u8; 4096]).unwrap();
+        let (wal, _, records) = Wal::open(WalConfig::at(&dir)).unwrap();
+        assert!(records.is_empty());
+        assert_eq!(wal.stats().dropped_bytes, 4096);
+        wal.append_meta(b"m").unwrap();
+        drop(wal);
+        assert!(fs::read(dir.join("meta.log")).unwrap().starts_with(&LOG_MAGIC));
+        let (_, _, records) = Wal::open(WalConfig::at(&dir)).unwrap();
+        assert_eq!(records, vec![b"m".to_vec()]);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn every_log_file_starts_with_the_marker() {
+        let dir = tmpdir("wal");
+        let (wal, _, _) = Wal::open(WalConfig::at(&dir)).unwrap();
+        wal.append_meta(b"m").unwrap();
+        let (mut log, _) = wal.stream_log("s").unwrap();
+        log.append_with(0, 1, |buf| buf.extend_from_slice(b"b")).unwrap();
+        for file in [dir.join("meta.log"), dir.join("streams/s/000000000000.seg")] {
+            assert!(fs::read(&file).unwrap().starts_with(&LOG_MAGIC), "{}", file.display());
+        }
+        // A reset meta log gets its marker back with the next record.
+        wal.write_snapshot(b"state").unwrap();
+        wal.append_meta(b"after").unwrap();
+        assert!(fs::read(dir.join("meta.log")).unwrap().starts_with(&LOG_MAGIC));
+        let (_, _, records) = Wal::open(WalConfig::at(&dir)).unwrap();
+        assert_eq!(records, vec![b"after".to_vec()]);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn stream_logs_live_under_streams_dir() {
         let dir = tmpdir("wal");
         let (wal, _, _) = Wal::open(WalConfig::at(&dir)).unwrap();
         {
             let (mut log, replayed) = wal.stream_log("trades").unwrap();
             assert!(replayed.is_empty());
-            log.append_batch(0, 3, b"abc").unwrap();
+            log.append_with(0, 3, |buf| buf.extend_from_slice(b"abc")).unwrap();
         }
         let (_, replayed) = wal.stream_log("trades").unwrap();
         assert_eq!(replayed.len(), 1);

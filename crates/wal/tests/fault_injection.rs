@@ -89,7 +89,7 @@ fn write_log(dir: &Path, batches: &[Vec<u8>], segment_bytes: u64) {
     let mut oid = 0u64;
     for payload in batches {
         let rows = payload.len().max(1) as u32;
-        log.append_batch(oid, rows, payload).unwrap();
+        log.append_with(oid, rows, |buf| buf.extend_from_slice(payload)).unwrap();
         oid += rows as u64;
     }
 }
@@ -174,7 +174,7 @@ proptest! {
         let (mut log, replayed2, _) = reopen(&dir);
         prop_assert_eq!(replayed2.len(), replayed.len());
         let end = log.end_oid();
-        log.append_batch(end, 3, b"post-repair").unwrap();
+        log.append_with(end, 3, |buf| buf.extend_from_slice(b"post-repair")).unwrap();
         drop(log);
         let (_, replayed3, stats3) = reopen(&dir);
         prop_assert_eq!(replayed3.len(), replayed.len() + 1);
@@ -238,7 +238,7 @@ fn runtime_fault_matrix_counts_retries_and_give_ups() {
                 let mut errored = 0u32;
                 for b in 0u8..6 {
                     let payload = vec![b; 8];
-                    match log.append_batch(oid, 1, &payload) {
+                    match log.append_with(oid, 1, |buf| buf.extend_from_slice(&payload)) {
                         Ok(()) => oid += 1,
                         Err(e) => {
                             errored += 1;
@@ -246,7 +246,7 @@ fn runtime_fault_matrix_counts_retries_and_give_ups() {
                             if point == FaultPoint::WalAppend {
                                 // Nothing was written; the caller retries
                                 // the same batch on a now-clean schedule.
-                                log.append_batch(oid, 1, &payload)
+                                log.append_with(oid, 1, |buf| buf.extend_from_slice(&payload))
                                     .unwrap_or_else(|e| panic!("{label}: re-append {e}"));
                             }
                             // A faulted fsync leaves the append durable in
