@@ -199,7 +199,6 @@ impl Config {
                 deny("crates/wal/src/meta.rs"),
                 deny("crates/core/src/durability.rs"),
                 deny("crates/server/src/protocol.rs"),
-                deny("crates/server/src/session.rs"),
                 deny("crates/server/src/frame.rs"),
                 deny("crates/server/src/reactor.rs"),
             ],
@@ -259,7 +258,7 @@ impl Config {
                 CodecSpec {
                     enum_file: "crates/server/src/protocol.rs".into(),
                     enum_name: "Command".into(),
-                    encode: ("crates/server/src/session.rs".into(), "dispatch".into()),
+                    encode: ("crates/server/src/reactor.rs".into(), "dispatch".into()),
                     decode: ("crates/server/src/protocol.rs".into(), "parse_command".into()),
                 },
                 CodecSpec {

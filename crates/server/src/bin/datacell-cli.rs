@@ -17,14 +17,13 @@
 //! `CHUNK <id> <n> <seq>` + CSV-rows form the text protocol uses — a
 //! scripted session's expected output is identical in both modes.
 
-use std::io::{BufRead, Read, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use datacell_server::frame::{self, Frame, FrameBuf};
-use datacell_server::protocol;
-use datacell_server::session::{LineReader, ReadLine};
+use datacell_server::protocol::{self, Line, LineBuf};
 
 fn main() {
     let mut addr = "127.0.0.1:4321".to_string();
@@ -61,33 +60,28 @@ fn main() {
     let saw_err = Arc::new(AtomicBool::new(false));
 
     // `--binary`: negotiate frames while the wire is still line-oriented,
-    // before the printer thread attaches. Bytes the handshake reader
-    // over-read are already frames and carry over into the frame buffer.
+    // before the printer thread attaches. Bytes read past the handshake
+    // line are already frames and carry over into the frame buffer.
     let mut leftover: Vec<u8> = Vec::new();
     if binary {
+        let expected = format!("OK HELLO BINARY {}", datacell_storage::binio::WIRE_VERSION);
         let hello = format!("HELLO BINARY {}\n", datacell_storage::binio::WIRE_VERSION);
-        let reply = stream
-            .try_clone()
-            .map_err(|e| e.to_string())
-            .and_then(|clone| {
-                (&stream).write_all(hello.as_bytes()).map_err(|e| e.to_string())?;
-                let mut reader = LineReader::new(clone);
-                loop {
-                    match reader.poll_line().map_err(|e| e.to_string())? {
-                        ReadLine::Line(l) => {
-                            leftover = reader.take_buffered();
-                            return Ok(l);
-                        }
-                        ReadLine::Idle => {}
-                        ReadLine::Overlong => return Err("overlong HELLO reply".into()),
-                        ReadLine::Eof => return Err("connection closed during HELLO".into()),
-                    }
-                }
-            });
+        let mut lines = LineBuf::new();
+        let reply = (&stream)
+            .write_all(hello.as_bytes())
+            .and_then(|()| next_line(&mut &stream, &mut lines));
         match reply {
-            Ok(l) if l == format!("OK HELLO BINARY {}", datacell_storage::binio::WIRE_VERSION) => {}
-            Ok(l) => {
+            Ok(Some(Line::Complete(l))) if l == expected => leftover = lines.take_buffered(),
+            Ok(Some(Line::Complete(l))) => {
                 eprintln!("datacell-cli: binary negotiation refused: {l}");
+                std::process::exit(1);
+            }
+            Ok(Some(Line::Overlong)) => {
+                eprintln!("datacell-cli: binary negotiation failed: overlong HELLO reply");
+                std::process::exit(1);
+            }
+            Ok(None) => {
+                eprintln!("datacell-cli: binary negotiation failed: connection closed during HELLO");
                 std::process::exit(1);
             }
             Err(e) => {
@@ -157,23 +151,38 @@ fn main() {
     }
 }
 
-/// Text mode: one server line per stdout line.
-fn print_lines(stream: TcpStream, saw_err: &AtomicBool) {
-    let mut reader = LineReader::new(stream);
+/// Blocking read of the next server line; `None` once the connection
+/// closed (an unterminated final line is still returned first).
+fn next_line(stream: &mut impl Read, lines: &mut LineBuf) -> io::Result<Option<Line>> {
+    let mut buf = [0u8; 64 * 1024];
     loop {
-        match reader.poll_line() {
-            Ok(ReadLine::Line(l)) => {
+        if let Some(line) = lines.next_line() {
+            return Ok(Some(line));
+        }
+        match stream.read(&mut buf) {
+            Ok(0) => return Ok(lines.finish()),
+            Ok(n) => lines.push_bytes(&buf[..n]),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+/// Text mode: one server line per stdout line.
+fn print_lines(mut stream: TcpStream, saw_err: &AtomicBool) {
+    let mut lines = LineBuf::new();
+    while let Ok(Some(line)) = next_line(&mut stream, &mut lines) {
+        match line {
+            Line::Complete(l) => {
                 if l.starts_with("ERR ") {
                     saw_err.store(true, Ordering::Relaxed);
                 }
                 println!("{l}");
             }
-            Ok(ReadLine::Overlong) => {
+            Line::Overlong => {
                 saw_err.store(true, Ordering::Relaxed);
                 eprintln!("datacell-cli: server line exceeded 1 MiB, skipped");
             }
-            Ok(ReadLine::Idle) => {}
-            Ok(ReadLine::Eof) | Err(_) => break,
         }
     }
 }
@@ -225,9 +234,9 @@ fn print_frames(mut stream: TcpStream, leftover: Vec<u8>, saw_err: &AtomicBool) 
             Err(e)
                 if matches!(
                     e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
+                    io::ErrorKind::WouldBlock
+                        | io::ErrorKind::TimedOut
+                        | io::ErrorKind::Interrupted
                 ) => {}
             Err(_) => break,
         }

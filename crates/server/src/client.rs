@@ -29,11 +29,10 @@ use datacell_storage::binio::{self, ByteReader};
 use datacell_storage::{Row, Schema};
 
 use crate::frame::{self, Frame, FrameBuf};
-use crate::protocol::{decode_hex, decode_row, encode_row, split_fields, PUSH_END};
-use crate::session::{LineReader, ReadLine};
+use crate::protocol::{decode_hex, decode_row, encode_row, split_fields, Line, LineBuf, PUSH_END};
 
-/// Socket read granularity in binary mode.
-const FRAME_READ_BUF: usize = 64 * 1024;
+/// Socket read granularity.
+const READ_BUF: usize = 64 * 1024;
 
 /// Client-side failure.
 #[derive(Debug)]
@@ -114,7 +113,8 @@ enum Wire {
 /// A blocking connection to a DataCell server.
 pub struct Client {
     stream: TcpStream,
-    reader: LineReader<TcpStream>,
+    /// Line accumulator (text mode only).
+    lines: LineBuf,
     /// True after `HELLO BINARY` negotiation: both directions are frames.
     binary: bool,
     /// Frame accumulator (binary mode only).
@@ -130,10 +130,9 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
-        let reader = LineReader::new(stream.try_clone()?);
         Ok(Client {
             stream,
-            reader,
+            lines: LineBuf::new(),
             binary: false,
             fbuf: FrameBuf::new(),
             pending: VecDeque::new(),
@@ -169,9 +168,9 @@ impl Client {
             )));
         }
         self.binary = true;
-        // Anything the line reader buffered past the OK line is already
-        // frame bytes — hand it to the frame accumulator.
-        let leftover = self.reader.take_buffered();
+        // Anything buffered past the OK line is already frame bytes —
+        // hand it to the frame accumulator.
+        let leftover = self.lines.take_buffered();
         self.fbuf.push_bytes(&leftover);
         Ok(())
     }
@@ -192,6 +191,31 @@ impl Client {
         Ok(())
     }
 
+    /// One socket read (blocking up to `timeout`) into the active
+    /// codec's buffer. `Some(Idle | Eof)` when no bytes arrived.
+    fn read_more(&mut self, timeout: Option<Duration>) -> Result<Option<Wire>> {
+        self.stream.set_read_timeout(timeout)?;
+        let mut buf = [0u8; READ_BUF];
+        loop {
+            match self.stream.read(&mut buf) {
+                Ok(0) => return Ok(Some(Wire::Eof)),
+                Ok(n) if self.binary => self.fbuf.push_bytes(&buf[..n]),
+                Ok(n) => self.lines.push_bytes(&buf[..n]),
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    return Ok(Some(Wire::Idle))
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e.into()),
+            }
+            return Ok(None);
+        }
+    }
+
     /// Pull the next wire event in binary mode: drain decoded events,
     /// then whole frames out of the accumulator, then the socket.
     fn read_event_binary(&mut self, timeout: Option<Duration>) -> Result<Wire> {
@@ -199,7 +223,6 @@ impl Client {
             if let Some(ev) = self.pending.pop_front() {
                 return Ok(ev);
             }
-            let mut decoded = false;
             while let Some((tag, payload)) =
                 self.fbuf.peek().map_err(|e| ClientError::Protocol(e.0))?
             {
@@ -210,7 +233,6 @@ impl Client {
                     Frame::Text(text) => {
                         for line in text.lines() {
                             self.pending.push_back(Wire::Line(line.to_owned()));
-                            decoded = true;
                         }
                     }
                     Frame::Chunk { seq, chunk, .. } => {
@@ -218,7 +240,6 @@ impl Client {
                             seq,
                             rows: chunk.rows().collect(),
                         });
-                        decoded = true;
                     }
                     Frame::Push { .. } => {
                         return Err(ClientError::Protocol(
@@ -227,25 +248,34 @@ impl Client {
                     }
                 }
             }
-            if decoded {
-                continue;
-            }
-            self.stream.set_read_timeout(timeout)?;
-            let mut buf = [0u8; FRAME_READ_BUF];
-            match self.stream.read(&mut buf) {
-                Ok(0) => return Ok(Wire::Eof),
-                Ok(n) => self.fbuf.push_bytes(&buf[..n]),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    return Ok(Wire::Idle)
+            if self.pending.is_empty() {
+                if let Some(ev) = self.read_more(timeout)? {
+                    return Ok(ev);
                 }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e.into()),
             }
+        }
+    }
+
+    /// Next text line (text mode): [`Wire::Line`], `Idle` or `Eof`.
+    fn read_event_text(&mut self, timeout: Option<Duration>) -> Result<Wire> {
+        loop {
+            let line = match self.lines.next_line() {
+                Some(line) => line,
+                None => match self.read_more(timeout)? {
+                    None => continue,
+                    Some(Wire::Eof) => match self.lines.finish() {
+                        Some(line) => line,
+                        None => return Ok(Wire::Eof),
+                    },
+                    Some(ev) => return Ok(ev),
+                },
+            };
+            return match line {
+                Line::Complete(l) => Ok(Wire::Line(l)),
+                Line::Overlong => {
+                    Err(ClientError::Protocol("server line exceeds 1 MiB".into()))
+                }
+            };
         }
     }
 
@@ -255,50 +285,32 @@ impl Client {
         if self.binary {
             return self.read_event_binary(timeout);
         }
-        self.stream.set_read_timeout(timeout)?;
-        match self.reader.poll_line()? {
-            ReadLine::Idle => Ok(Wire::Idle),
-            ReadLine::Eof => Ok(Wire::Eof),
-            ReadLine::Overlong => {
-                Err(ClientError::Protocol("server frame line exceeds 1 MiB".into()))
+        match self.read_event_text(timeout)? {
+            Wire::Line(l) if l.starts_with("CHUNK ") => {
+                let (seq, rows) = self.read_chunk_frame(&l)?;
+                Ok(Wire::Chunk { seq, rows })
             }
-            ReadLine::Line(l) => {
-                if l.starts_with("CHUNK ") {
-                    let (seq, rows) = self.read_chunk_frame(&l)?;
-                    Ok(Wire::Chunk { seq, rows })
-                } else {
-                    Ok(Wire::Line(l))
-                }
-            }
+            other => Ok(other),
         }
     }
 
     /// Read one reply line, blocking indefinitely.
     fn read_line(&mut self) -> Result<String> {
-        if self.binary {
-            return match self.read_event_binary(None)? {
-                Wire::Line(l) => Ok(l),
-                Wire::Chunk { .. } => Err(ClientError::Protocol(
-                    "unexpected CHUNK frame while awaiting a reply line".into(),
-                )),
-                Wire::Eof => Err(ClientError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "server closed the connection",
-                ))),
-                Wire::Idle => Err(ClientError::Protocol("idle on blocking read".into())),
-            };
-        }
-        self.stream.set_read_timeout(None)?;
-        match self.reader.poll_line()? {
-            ReadLine::Line(l) => Ok(l),
-            ReadLine::Eof => Err(ClientError::Io(io::Error::new(
+        let event = if self.binary {
+            self.read_event_binary(None)?
+        } else {
+            self.read_event_text(None)?
+        };
+        match event {
+            Wire::Line(l) => Ok(l),
+            Wire::Chunk { .. } => Err(ClientError::Protocol(
+                "unexpected CHUNK frame while awaiting a reply line".into(),
+            )),
+            Wire::Eof => Err(ClientError::Io(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
             ))),
-            ReadLine::Overlong => {
-                Err(ClientError::Protocol("server reply line exceeds 1 MiB".into()))
-            }
-            ReadLine::Idle => Err(ClientError::Protocol("idle on blocking read".into())),
+            Wire::Idle => Err(ClientError::Protocol("idle on blocking read".into())),
         }
     }
 
@@ -507,7 +519,6 @@ impl Client {
             .and_then(|n| n.parse().ok())
             .ok_or_else(|| ClientError::Protocol(format!("bad CHUNK header {header:?}")))?;
         let mut rows = Vec::with_capacity(count);
-        self.stream.set_read_timeout(None)?;
         for _ in 0..count {
             let line = self.read_line()?;
             rows.push(decode_row(&line).map_err(|e| ClientError::Protocol(e.0))?);

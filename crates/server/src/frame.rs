@@ -185,8 +185,8 @@ fn decode_block(r: &mut ByteReader<'_>, what: &str) -> Result<Chunk, ProtocolErr
 // ---- incremental reader -----------------------------------------------
 
 /// Byte-stream accumulator that cuts whole frames out of arbitrary read
-/// chunks (the frame-mode analogue of the session's `LineReader`, minus
-/// the socket).
+/// chunks (the frame-mode analogue of
+/// [`LineBuf`](crate::protocol::LineBuf)).
 ///
 /// Usage: [`FrameBuf::push_bytes`] whatever the socket produced, then
 /// loop [`FrameBuf::peek`] / [`FrameBuf::consume`] until `peek` returns

@@ -13,29 +13,33 @@
 //!
 //! Every connection starts in the line-oriented text protocol; a client
 //! may upgrade with `HELLO BINARY 2`, after which both directions speak
-//! length-prefixed frames (see [`frame`]) — result chunks are then
-//! encoded **once** per (query, seq) and the same bytes fan out to every
-//! binary subscriber.
+//! length-prefixed frames (see [`frame`]). Text and binary are two
+//! *codecs* over one server: a single reactor thread drives the listener
+//! and every connection, and one command core answers both alike. Result
+//! chunks are encoded **once** per (query, seq, codec) and the same bytes
+//! fan out to every subscriber.
 //!
 //! Layering (each unit-testable below the sockets):
 //!
-//! * [`protocol`] — line-oriented wire grammar: framing, CSV value
-//!   encoding, command parsing. No I/O.
+//! * [`protocol`] — the text wire grammar: command parsing, CSV value
+//!   encoding, and the incremental [`LineBuf`] line cutter. No I/O.
 //! * [`frame`] — the binary wire grammar: tagged length-prefixed frames
 //!   (TEXT / CHUNK / PUSH) and the incremental [`FrameBuf`] cutter. No
 //!   I/O either.
 //! * [`replay`] — per-query retained result tails with delivery sequence
-//!   numbers, powering reconnect-with-resume (`SUBSCRIBE … AFTER`).
-//! * [`session`] — one thread per connection: command dispatch and the
-//!   streaming (subscription) mode for text sessions.
-//! * [`reactor`] — the readiness-based driver for binary sessions: one
-//!   thread, an epoll poller (`vendor/polling`), per-session write queues
-//!   with high-water backpressure, and the encode-once frame cache. Text
-//!   sessions that negotiate `HELLO BINARY` are handed off here.
-//! * [`server`] — the listener, the shared engine behind a mutex, the
-//!   scheduler pump thread, graceful shutdown, server-wide stats.
+//!   numbers and the encode-once cache, powering reconnect-with-resume
+//!   (`SUBSCRIBE … AFTER`).
+//! * [`reactor`] — the one I/O thread: an epoll poller (`vendor/polling`)
+//!   over the listener and all connections, a per-connection codec
+//!   (line or frame), the command core, text `PUSH` blocks and
+//!   subscription streaming, per-connection write queues with
+//!   high-water backpressure, and the idle / push-frame / write
+//!   deadlines.
+//! * [`server`] — the shared engine behind a mutex, the replay rings,
+//!   graceful shutdown, server-wide stats.
 //! * [`client`] — a blocking client for tests, the CLI and load
-//!   generators; speaks both modes ([`Client::connect_binary`]).
+//!   generators; speaks both modes ([`Client::connect_binary`]) over the
+//!   same two codecs.
 //!
 //! Binaries: `datacell-server` (the daemon) and `datacell-cli`
 //! (interactive/scripted session, `--binary` for framed mode).
@@ -67,13 +71,11 @@ pub mod protocol;
 pub mod reactor;
 pub mod replay;
 pub mod server;
-pub mod session;
 
 pub use client::{
     Client, ClientError, ExecReply, ReconnectPolicy, ResumingSubscription, Subscription,
 };
 pub use frame::{Frame, FrameBuf, FrameTag};
-pub use protocol::{Command, ProtocolError};
+pub use protocol::{Command, Line, LineBuf, ProtocolError};
 pub use replay::ReplayRing;
 pub use server::{Server, ServerConfig, ServerStats};
-pub use session::SessionStats;

@@ -518,6 +518,113 @@ pub fn decode_hex(s: &str) -> Result<Vec<u8>, ProtocolError> {
     Ok(digits.chunks_exact(2).map(|p| (p[0] << 4) | p[1]).collect())
 }
 
+// ---- incremental line cutter -------------------------------------------
+
+/// Upper bound on one protocol line; longer input is a framing error.
+pub const MAX_LINE: usize = 1 << 20;
+
+/// Compact the line buffer once this many consumed bytes accumulate.
+const LINE_COMPACT_AT: usize = 64 * 1024;
+
+/// One cut out of a [`LineBuf`].
+#[derive(Debug, PartialEq, Eq)]
+pub enum Line {
+    /// A complete line, terminator (`\n` or `\r\n`) stripped.
+    Complete(String),
+    /// A line longer than [`MAX_LINE`]. Its bytes were discarded through
+    /// the terminating newline, so the stream stays in sync and the
+    /// receiver can answer `ERR` instead of hanging up.
+    Overlong,
+}
+
+/// Byte-stream accumulator that cuts `\n`-terminated lines out of
+/// arbitrary read chunks — the text counterpart of
+/// [`FrameBuf`](crate::frame::FrameBuf), and like it free of I/O.
+///
+/// Usage: [`LineBuf::push_bytes`] whatever the socket produced, then loop
+/// [`LineBuf::next_line`] until it returns `None` (read more). Partial
+/// lines stay buffered across reads; an oversize line is dropped while it
+/// streams in, so memory stays bounded by [`MAX_LINE`] plus one read. At
+/// end of input, [`LineBuf::finish`] yields the unterminated final line.
+#[derive(Debug, Default)]
+pub struct LineBuf {
+    buf: Vec<u8>,
+    /// Start of the unconsumed bytes.
+    pos: usize,
+    /// `buf[pos..scanned]` is known to hold no newline.
+    scanned: usize,
+    /// An oversize line is being skipped: drop bytes until its newline,
+    /// then report [`Line::Overlong`].
+    discarding: bool,
+}
+
+impl LineBuf {
+    /// An empty accumulator.
+    pub fn new() -> LineBuf {
+        LineBuf::default()
+    }
+
+    /// Append bytes read from the peer.
+    pub fn push_bytes(&mut self, bytes: &[u8]) {
+        if self.pos >= LINE_COMPACT_AT || self.pos == self.buf.len() {
+            self.buf.drain(..self.pos);
+            self.scanned -= self.pos;
+            self.pos = 0;
+        }
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// The next complete line, or `None` until more bytes arrive.
+    pub fn next_line(&mut self) -> Option<Line> {
+        let Some(at) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') else {
+            self.scanned = self.buf.len();
+            if self.discarding || self.scanned - self.pos > MAX_LINE {
+                // Nothing before the newline matters; drop what is buffered.
+                self.buf.clear();
+                self.pos = 0;
+                self.scanned = 0;
+                self.discarding = true;
+            }
+            return None;
+        };
+        let end = self.scanned + at;
+        let start = std::mem::replace(&mut self.pos, end + 1);
+        self.scanned = end + 1;
+        if std::mem::take(&mut self.discarding) || end - start > MAX_LINE {
+            return Some(Line::Overlong);
+        }
+        let line = &self.buf[start..end];
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        Some(Line::Complete(String::from_utf8_lossy(line).into_owned()))
+    }
+
+    /// End of input: the unterminated final line, if any (an oversize one
+    /// as [`Line::Overlong`]). Call after [`LineBuf::next_line`] returned
+    /// `None`; leaves the buffer empty.
+    pub fn finish(&mut self) -> Option<Line> {
+        let overlong = self.discarding;
+        let tail = self.take_buffered();
+        if overlong {
+            Some(Line::Overlong)
+        } else if tail.is_empty() {
+            None
+        } else {
+            Some(Line::Complete(String::from_utf8_lossy(&tail).into_owned()))
+        }
+    }
+
+    /// Surrender the raw bytes past the last line cut. At the
+    /// `HELLO BINARY` switch they are the peer's first frames.
+    pub fn take_buffered(&mut self) -> Vec<u8> {
+        let rest = self.buf.split_off(self.pos);
+        self.buf.clear();
+        self.pos = 0;
+        self.scanned = 0;
+        self.discarding = false;
+        rest
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -831,5 +938,54 @@ mod tests {
             "a,count_star"
         );
         assert_eq!(encode_names(&["a,b".into()]), "\"a,b\"");
+    }
+
+    #[test]
+    fn line_buf_splits_and_survives_partials() {
+        // Data in awkward slices, with idle gaps between the reads, must
+        // never lose a partial line.
+        let mut r = LineBuf::new();
+        r.push_bytes(b"PI");
+        assert_eq!(r.next_line(), None);
+        r.push_bytes(b"NG\r\nEX");
+        assert_eq!(r.next_line(), Some(Line::Complete("PING".into())));
+        assert_eq!(r.next_line(), None);
+        r.push_bytes(b"EC 1\ntail");
+        assert_eq!(r.next_line(), Some(Line::Complete("EXEC 1".into())));
+        assert_eq!(r.next_line(), None);
+        // End of input flushes the unterminated tail as a final line.
+        assert_eq!(r.finish(), Some(Line::Complete("tail".into())));
+        assert_eq!(r.finish(), None);
+    }
+
+    #[test]
+    fn line_buf_skips_unbounded_lines_and_resyncs() {
+        // An oversize line followed by a normal one: the cutter reports
+        // Overlong once, discards through the newline, and produces the
+        // next line intact — bounded memory throughout.
+        let mut r = LineBuf::new();
+        let piece = [b'x'; 8192];
+        for _ in 0..(3 << 20) / piece.len() {
+            r.push_bytes(&piece);
+            assert_eq!(r.next_line(), None);
+            assert!(r.buf.len() <= MAX_LINE + piece.len(), "unbounded buffering");
+        }
+        r.push_bytes(b"\nPING\n");
+        assert_eq!(r.next_line(), Some(Line::Overlong));
+        assert_eq!(r.next_line(), Some(Line::Complete("PING".into())));
+        assert_eq!(r.next_line(), None);
+    }
+
+    #[test]
+    fn line_buf_reports_overlong_final_line_on_eof() {
+        // More than MAX_LINE, then end of input: one Overlong, then nothing.
+        let mut r = LineBuf::new();
+        let piece = [b'y'; 8192];
+        for _ in 0..(2 << 20) / piece.len() {
+            r.push_bytes(&piece);
+            assert_eq!(r.next_line(), None);
+        }
+        assert_eq!(r.finish(), Some(Line::Overlong));
+        assert_eq!(r.finish(), None);
     }
 }

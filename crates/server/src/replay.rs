@@ -5,7 +5,7 @@
 //! keeps alive across client disconnects. The ring assigns each result
 //! chunk a monotonically increasing **sequence number** (scoped to one
 //! server incarnation, identified by its *epoch*) and retains the most
-//! recent `capacity` chunks. A session streams by cursor: "give me every
+//! recent `capacity` chunks. A connection streams by cursor: "give me every
 //! retained chunk with `seq > cursor`" — so a client that reconnects with
 //! `AFTER <epoch> <seq>` resumes exactly where it left off, as long as
 //! the gap fits in the ring.
@@ -13,7 +13,7 @@
 //! Latency accounting contract (see `emitter.rs` in `datacell-core`):
 //! a chunk's ingest stamp is consumed by the **first** delivery — the
 //! fetch that advances the ring's stamp watermark keeps the stamp (the
-//! session records wire-delivery latency from it), every later fetch of
+//! reactor records wire-delivery latency from it), every later fetch of
 //! the same chunk (a replay to a reconnecting or second subscriber)
 //! clears it, so stale arrival ticks never pollute the
 //! `datacell_wire_delivery_us` histogram.
@@ -23,35 +23,44 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use datacell_core::Emitter;
-use datacell_storage::{Chunk, IngestStamp};
+use datacell_storage::Chunk;
 
 use crate::frame::encode_chunk_frame;
+use crate::protocol::encode_chunk;
 
-/// One retained chunk plus its lazily built wire frame.
+/// How a connection wants its `CHUNK`s encoded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WireFormat {
+    /// `CHUNK <id> <n> <seq>` header plus `n` CSV row lines.
+    Text,
+    /// One binary `CHUNK` frame (see [`crate::frame`]).
+    Binary,
+}
+
+/// One retained chunk plus its lazily built encodings.
 struct Entry {
     seq: u64,
     chunk: Chunk,
-    /// Encode-once cache: the binary `CHUNK` frame for this entry. The
-    /// frame embeds only `(query, seq)` — both identical for every
-    /// subscriber of the query within one epoch — so a single encoding
-    /// fans out to all of them (the cache key is effectively
-    /// `(query, epoch, seq)`; query and epoch are fixed per ring).
-    frame: Option<Arc<Vec<u8>>>,
+    /// Encode-once cache, one slot per [`WireFormat`]. The bytes embed
+    /// only `(query, seq)` — both identical for every subscriber of the
+    /// query within one epoch — so a single encoding fans out to all of
+    /// them (the cache key is effectively `(query, epoch, seq, format)`;
+    /// query and epoch are fixed per ring).
+    encoded: [Option<Arc<Vec<u8>>>; 2],
 }
 
-/// One binary `CHUNK` frame ready for delivery to a subscriber.
-pub struct FrameDelivery {
+/// One wire-ready `CHUNK` for delivery to a subscriber.
+pub struct Delivery {
     /// Delivery sequence number (the client's resume cursor).
     pub seq: u64,
-    /// The complete wire frame (header included), shared across
-    /// subscribers.
+    /// The complete encoded chunk, shared across subscribers.
     pub bytes: Arc<Vec<u8>>,
     /// Result rows inside the chunk (stats accounting).
     pub rows: u64,
     /// Arrival tick of the chunk's newest contributing tuple — present
     /// only on the first delivery (replays never re-sample latency).
     pub stamp: Option<Instant>,
-    /// Whether the frame came from the encode-once cache.
+    /// Whether the bytes came from the encode-once cache.
     pub cached: bool,
 }
 
@@ -82,7 +91,7 @@ impl ReplayRing {
     /// sequence numbers and evicting the oldest chunks beyond capacity.
     pub fn drain_tap(&mut self) {
         while let Some(chunk) = self.tap.try_next() {
-            self.buf.push_back(Entry { seq: self.next_seq, chunk, frame: None });
+            self.buf.push_back(Entry { seq: self.next_seq, chunk, encoded: [None, None] });
             self.next_seq += 1;
             while self.buf.len() > self.capacity {
                 // Evicted undelivered chunks die with their stamps: no
@@ -108,44 +117,23 @@ impl ReplayRing {
         self.tap.is_closed()
     }
 
-    /// Clone out up to `max` retained chunks with `seq > cursor`, oldest
-    /// first. The first delivery of a chunk keeps its ingest stamp;
-    /// replays get it stripped (see the module docs).
-    pub fn fetch_after(&mut self, cursor: u64, max: usize) -> Vec<(u64, Chunk)> {
-        let mut out = Vec::new();
-        for e in &self.buf {
-            if e.seq <= cursor {
-                continue;
-            }
-            if out.len() >= max {
-                break;
-            }
-            let mut chunk = e.chunk.clone();
-            if e.seq > self.stamped_floor {
-                self.stamped_floor = e.seq;
-            } else {
-                chunk.set_stamp(IngestStamp::default());
-            }
-            out.push((e.seq, chunk));
-        }
-        out
-    }
-
-    /// Binary-mode counterpart of [`ReplayRing::fetch_after`]: up to `max`
-    /// wire-ready `CHUNK` frames with `seq > cursor`, oldest first. Each
-    /// chunk is encoded **at most once** per ring lifetime; later fetches
-    /// (other subscribers, replays) share the cached `Arc` bytes. Stamp
-    /// semantics match the text path: only the fetch that first advances
-    /// the stamp watermark carries the arrival tick.
+    /// Up to `max` wire-ready chunks with `seq > cursor`, oldest first,
+    /// encoded for `format`. Each chunk is encoded **at most once** per
+    /// format and ring lifetime; later fetches (other subscribers,
+    /// replays) share the cached `Arc` bytes. Only the fetch that first
+    /// advances the stamp watermark — in either format — carries the
+    /// arrival tick (see the module docs).
     ///
-    /// A chunk whose frame exceeds the wire cap is skipped (it cannot be
-    /// framed; the cursor advances past it with the rest of the batch).
-    pub fn fetch_frames_after(
+    /// A chunk whose binary frame exceeds the wire cap is skipped (it
+    /// cannot be framed; the cursor advances past it with the rest of the
+    /// batch).
+    pub fn fetch(
         &mut self,
         query: u64,
         cursor: u64,
         max: usize,
-    ) -> Vec<FrameDelivery> {
+        format: WireFormat,
+    ) -> Vec<Delivery> {
         let mut out = Vec::new();
         for e in self.buf.iter_mut() {
             if e.seq <= cursor {
@@ -154,17 +142,20 @@ impl ReplayRing {
             if out.len() >= max {
                 break;
             }
-            let cached = e.frame.is_some();
-            let bytes = match &e.frame {
+            let slot = &mut e.encoded[format as usize];
+            let cached = slot.is_some();
+            let bytes = match slot {
                 Some(b) => Arc::clone(b),
-                None => match encode_chunk_frame(query, e.seq, &e.chunk) {
-                    Ok(encoded) => {
-                        let arc = Arc::new(encoded);
-                        e.frame = Some(Arc::clone(&arc));
-                        arc
-                    }
-                    Err(_) => continue,
-                },
+                None => {
+                    let encoded = match format {
+                        WireFormat::Text => encode_chunk(query, e.seq, &e.chunk).into_bytes(),
+                        WireFormat::Binary => match encode_chunk_frame(query, e.seq, &e.chunk) {
+                            Ok(frame) => frame,
+                            Err(_) => continue,
+                        },
+                    };
+                    Arc::clone(slot.insert(Arc::new(encoded)))
+                }
             };
             let stamp = if e.seq > self.stamped_floor {
                 self.stamped_floor = e.seq;
@@ -172,13 +163,7 @@ impl ReplayRing {
             } else {
                 None
             };
-            out.push(FrameDelivery {
-                seq: e.seq,
-                bytes,
-                rows: e.chunk.len() as u64,
-                stamp,
-                cached,
-            });
+            out.push(Delivery { seq: e.seq, bytes, rows: e.chunk.len() as u64, stamp, cached });
         }
         out
     }
@@ -188,7 +173,7 @@ impl ReplayRing {
 mod tests {
     use super::*;
     use datacell_core::EmitterSender;
-    use datacell_storage::Bat;
+    use datacell_storage::{Bat, IngestStamp};
     use std::time::Instant;
 
     fn chunk(v: i64) -> Chunk {
@@ -202,6 +187,14 @@ mod tests {
         (tx, ReplayRing::new(rx, capacity))
     }
 
+    fn text(ring: &mut ReplayRing, cursor: u64, max: usize) -> Vec<Delivery> {
+        ring.fetch(9, cursor, max, WireFormat::Text)
+    }
+
+    fn seqs(ds: &[Delivery]) -> Vec<u64> {
+        ds.iter().map(|d| d.seq).collect()
+    }
+
     #[test]
     fn sequences_are_monotonic_and_cursor_fetch_is_exact() {
         let (tx, mut ring) = ring(16);
@@ -211,11 +204,12 @@ mod tests {
         ring.drain_tap();
         assert_eq!(ring.next_seq(), 5);
         assert_eq!(ring.oldest_retained(), 1);
-        let all: Vec<u64> = ring.fetch_after(0, usize::MAX).iter().map(|(s, _)| *s).collect();
-        assert_eq!(all, vec![1, 2, 3, 4]);
-        let tail: Vec<u64> = ring.fetch_after(2, usize::MAX).iter().map(|(s, _)| *s).collect();
-        assert_eq!(tail, vec![3, 4]);
-        assert!(ring.fetch_after(4, usize::MAX).is_empty());
+        assert_eq!(seqs(&text(&mut ring, 0, usize::MAX)), vec![1, 2, 3, 4]);
+        assert_eq!(seqs(&text(&mut ring, 2, usize::MAX)), vec![3, 4]);
+        assert!(text(&mut ring, 4, usize::MAX).is_empty());
+        // The text encoding is the protocol's CHUNK block.
+        let first = text(&mut ring, 0, 1);
+        assert_eq!(first[0].bytes.as_slice(), encode_chunk(9, 1, &chunk(1)).as_bytes());
     }
 
     #[test]
@@ -226,7 +220,7 @@ mod tests {
         }
         ring.drain_tap();
         assert_eq!(ring.oldest_retained(), 4);
-        let got: Vec<u64> = ring.fetch_after(0, usize::MAX).iter().map(|(s, _)| *s).collect();
+        let got = seqs(&text(&mut ring, 0, usize::MAX));
         assert_eq!(got, vec![4, 5], "a cursor before the floor gets what is left");
     }
 
@@ -237,17 +231,17 @@ mod tests {
         tx.send(chunk(2)).expect("send");
         ring.drain_tap();
         // First delivery: stamps intact (latency chain closes here).
-        let first = ring.fetch_after(0, usize::MAX);
-        assert!(first.iter().all(|(_, c)| c.stamp().instant().is_some()));
+        let first = text(&mut ring, 0, usize::MAX);
+        assert!(first.iter().all(|d| d.stamp.is_some()));
         // Replay to a reconnecting subscriber: stamps stripped.
-        let replay = ring.fetch_after(0, usize::MAX);
-        assert!(replay.iter().all(|(_, c)| c.stamp().instant().is_none()));
+        let replay = text(&mut ring, 0, usize::MAX);
+        assert!(replay.iter().all(|d| d.stamp.is_none()));
         // A genuinely new chunk keeps its stamp even after the replay.
         tx.send(chunk(3)).expect("send");
         ring.drain_tap();
-        let next = ring.fetch_after(2, usize::MAX);
+        let next = text(&mut ring, 2, usize::MAX);
         assert_eq!(next.len(), 1);
-        assert!(next[0].1.stamp().instant().is_some());
+        assert!(next[0].stamp.is_some());
     }
 
     #[test]
@@ -257,12 +251,11 @@ mod tests {
             tx.send(chunk(v)).expect("send");
         }
         ring.drain_tap();
-        let got: Vec<u64> = ring.fetch_after(0, 2).iter().map(|(s, _)| *s).collect();
-        assert_eq!(got, vec![1, 2]);
+        assert_eq!(seqs(&text(&mut ring, 0, 2)), vec![1, 2]);
         // Chunks beyond the budget were not touched: their first-delivery
         // stamps are still pending.
-        let rest = ring.fetch_after(2, usize::MAX);
-        assert!(rest.iter().all(|(_, c)| c.stamp().instant().is_some()));
+        let rest = text(&mut ring, 2, usize::MAX);
+        assert!(rest.iter().all(|d| d.stamp.is_some()));
     }
 
     #[test]
@@ -272,18 +265,22 @@ mod tests {
         tx.send(chunk(2)).expect("send");
         ring.drain_tap();
         // First subscriber: every frame is a cache miss, stamps intact.
-        let first = ring.fetch_frames_after(9, 0, usize::MAX);
+        let first = ring.fetch(9, 0, usize::MAX, WireFormat::Binary);
         assert_eq!(first.len(), 2);
         assert!(first.iter().all(|f| !f.cached));
         assert!(first.iter().all(|f| f.stamp.is_some()));
         assert!(first.iter().all(|f| f.rows == 1));
         // Second subscriber: same bytes (pointer-equal Arc), no stamps.
-        let second = ring.fetch_frames_after(9, 0, usize::MAX);
+        let second = ring.fetch(9, 0, usize::MAX, WireFormat::Binary);
         assert!(second.iter().all(|f| f.cached));
         assert!(second.iter().all(|f| f.stamp.is_none()));
         for (a, b) in first.iter().zip(&second) {
             assert!(Arc::ptr_eq(&a.bytes, &b.bytes), "encode-once violated");
         }
+        // Each format has its own cache slot.
+        let as_text = text(&mut ring, 0, usize::MAX);
+        assert!(as_text.iter().all(|d| !d.cached));
+        assert!(text(&mut ring, 0, usize::MAX).iter().all(|d| d.cached));
         // The frames decode back to the retained chunks.
         let (tag, payload) = {
             let mut fb = crate::frame::FrameBuf::new();
@@ -300,9 +297,9 @@ mod tests {
         // Text and frame fetches share the stamp watermark.
         tx.send(chunk(3)).expect("send");
         ring.drain_tap();
-        let text = ring.fetch_after(2, usize::MAX);
-        assert!(text[0].1.stamp().instant().is_some());
-        let replay = ring.fetch_frames_after(9, 2, usize::MAX);
+        let fresh = text(&mut ring, 2, usize::MAX);
+        assert!(fresh[0].stamp.is_some());
+        let replay = ring.fetch(9, 2, usize::MAX, WireFormat::Binary);
         assert!(replay[0].stamp.is_none(), "text fetch consumed the stamp");
     }
 
@@ -313,6 +310,6 @@ mod tests {
         drop(tx);
         assert!(ring.is_closed());
         ring.drain_tap();
-        assert_eq!(ring.fetch_after(0, usize::MAX).len(), 1, "buffered chunks still drain");
+        assert_eq!(text(&mut ring, 0, usize::MAX).len(), 1, "buffered chunks still drain");
     }
 }

@@ -1,37 +1,32 @@
 //! The server: a TCP listener hosting one shared [`DataCell`] engine.
 //!
-//! Threading model (no async runtime — plain `std::net` + `std::thread`,
-//! the build environment is offline):
+//! Threading model (no async runtime — plain `std::net` over an epoll
+//! poller, the build environment is offline): **one thread**, the
+//! [`reactor`](crate::reactor), owns the listening socket and every
+//! connection, text and binary alike, whatever their number.
 //!
-//! * the **listener thread** accepts connections and spawns one
-//!   [`session`](crate::session) thread per client;
-//! * the **pump thread** is the scheduler's heartbeat: it waits on a
-//!   condvar-with-timeout over the engine mutex and drives
-//!   [`DataCell::run_until_idle`] whenever a session signals new work (or
-//!   every `pump_interval` as a safety net). Ingest commands (`PUSH`,
-//!   `EXEC INSERT`) also evaluate synchronously before acknowledging, so
-//!   the pump only matters for out-of-band enabling events (e.g. a query
-//!   registered after data already arrived);
-//! * **graceful shutdown** raises a flag every blocking point polls,
+//! * the listener is registered in the poller, so accepting is
+//!   readiness-driven like every other socket event;
+//! * commands that can enable factories (`PUSH`, `EXEC INSERT`,
+//!   `REGISTER`) run the scheduler to quiescence before acknowledging, so
+//!   no background heartbeat is needed; each reactor tick pulls every
+//!   replay ring forward instead;
+//! * **graceful shutdown** raises a flag the reactor checks every tick,
 //!   closes all subscriber queues via [`DataCell::shutdown`] so streaming
-//!   sessions end their `CHUNK` streams, unblocks `accept` with a
-//!   self-connection, and joins every thread.
+//!   connections end their `CHUNK` streams, and joins the reactor.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, SystemTime};
 
 use datacell_core::{DataCell, DataCellConfig, EngineError, Faults};
-use datacell_storage::Chunk;
 
-use crate::reactor::{reactor_loop, BinaryHandoff};
-use crate::replay::{FrameDelivery, ReplayRing};
-use crate::session::{run_session, SessionStats};
+use crate::replay::{Delivery, ReplayRing, WireFormat};
 
 /// Server construction parameters.
 #[derive(Debug, Clone)]
@@ -44,9 +39,6 @@ pub struct ServerConfig {
     /// SQL script (`;`-separated) run against the engine before the
     /// listener opens — typically `CREATE STREAM`s.
     pub init_script: Option<String>,
-    /// Fallback interval at which the pump thread fires the scheduler
-    /// even without an explicit work signal.
-    pub pump_interval: Duration,
     /// Result chunks retained per subscribed query for
     /// reconnect-with-resume (`SUBSCRIBE … AFTER`): a reconnecting client
     /// can recover at most this many missed chunks.
@@ -59,9 +51,9 @@ pub struct ServerConfig {
     /// last row received, or the batch is discarded with an `ERR` (a
     /// stalled producer must not pin a session forever mid-frame).
     pub push_frame_timeout: Duration,
-    /// Socket write deadline per reply/chunk (`None` = block forever). A
-    /// wedged client that stops reading eventually errors the write and
-    /// frees the session thread.
+    /// How long a connection's queued replies and chunks may make no
+    /// write progress (`None` = forever). A wedged client that stops
+    /// reading is disconnected at this deadline, releasing its queue.
     pub write_timeout: Option<Duration>,
 }
 
@@ -78,7 +70,6 @@ impl Default for ServerConfig {
                 ..DataCellConfig::default()
             },
             init_script: None,
-            pump_interval: Duration::from_millis(50),
             replay_capacity: 256,
             idle_timeout: Some(Duration::from_secs(300)),
             push_frame_timeout: Duration::from_secs(10),
@@ -87,8 +78,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// The per-session resilience knobs, copied out of [`ServerConfig`] into
-/// [`SharedState`] so session threads never need the whole config.
+/// The per-connection resilience knobs, copied out of [`ServerConfig`]
+/// into [`SharedState`] so the reactor never needs the whole config.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SessionTuning {
     pub idle_timeout: Option<Duration>,
@@ -96,8 +87,8 @@ pub(crate) struct SessionTuning {
     pub write_timeout: Option<Duration>,
 }
 
-/// Server-wide counters, aggregated across all sessions (atomics so
-/// sessions never contend on the engine mutex just to count).
+/// Server-wide counters, aggregated across all connections (atomics so
+/// counting never contends on the engine mutex).
 #[derive(Debug, Default)]
 pub(crate) struct StatCounters {
     pub sessions_opened: AtomicU64,
@@ -110,12 +101,6 @@ pub(crate) struct StatCounters {
 }
 
 impl StatCounters {
-    /// Sessions bump the shared counters live (so `STATS` and monitoring
-    /// see in-flight sessions); closing only records the teardown.
-    pub(crate) fn fold_session(&self, _s: &SessionStats) {
-        self.sessions_closed.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub(crate) fn snapshot(&self) -> ServerStats {
         ServerStats {
             sessions_opened: self.sessions_opened.load(Ordering::Relaxed),
@@ -153,7 +138,7 @@ impl StatCounters {
 pub struct ServerStats {
     /// Connections accepted.
     pub sessions_opened: u64,
-    /// Sessions fully torn down (counters folded in).
+    /// Connections fully torn down.
     pub sessions_closed: u64,
     /// Commands dispatched across all sessions.
     pub commands: u64,
@@ -167,13 +152,12 @@ pub struct ServerStats {
     pub errors: u64,
 }
 
-/// State shared by the listener, pump and every session thread.
+/// State shared by the reactor thread and the [`Server`] handle.
 ///
 /// Lock order: **engine before rings** — a thread holding the rings lock
 /// must never take the engine lock.
 pub(crate) struct SharedState {
     engine: Mutex<DataCell>,
-    work: Condvar,
     shutdown: AtomicBool,
     pub(crate) stats: StatCounters,
     /// Incarnation id (start-time millis): scope of replay sequence
@@ -183,9 +167,6 @@ pub(crate) struct SharedState {
     rings: Mutex<HashMap<u64, ReplayRing>>,
     replay_capacity: usize,
     pub(crate) tuning: SessionTuning,
-    /// Connections that negotiated `HELLO BINARY`, parked here by their
-    /// session thread for the reactor to adopt on its next tick.
-    handoffs: Mutex<Vec<BinaryHandoff>>,
     /// Fault-injection facade (cloned out of the engine config so the
     /// reactor's socket I/O consults the same schedule as the WAL).
     pub(crate) faults: Faults,
@@ -193,7 +174,7 @@ pub(crate) struct SharedState {
 
 impl SharedState {
     /// Lock the engine, transparently recovering from poisoning (a
-    /// panicked session must not wedge the whole server).
+    /// panicked command must not wedge the whole server).
     pub(crate) fn lock_engine(&self) -> MutexGuard<'_, DataCell> {
         self.engine.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -202,23 +183,17 @@ impl SharedState {
         self.rings.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Signal the pump thread that new work may be pending.
-    pub(crate) fn notify_work(&self) {
-        self.work.notify_all();
-    }
-
     pub(crate) fn is_shutdown(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
     }
 
     pub(crate) fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
-        self.work.notify_all();
     }
 
     /// Make sure `query` has a replay ring (creating its engine tap on
     /// first subscribe), then place a cursor for a (re)connecting
-    /// subscriber. Returns `(cursor, next_seq)`: the session delivers
+    /// subscriber. Returns `(cursor, next_seq)`: the connection delivers
     /// chunks with `seq > cursor`, and `next_seq = cursor + 1` is echoed
     /// in the subscribe handshake.
     pub(crate) fn attach_subscriber(
@@ -251,8 +226,9 @@ impl SharedState {
         Ok((cursor, cursor + 1))
     }
 
-    /// Drain the query's tap and clone out up to `max` chunks after
-    /// `cursor`. Returns the batch plus whether the ring is closed
+    /// Drain the query's tap and return up to `max` chunks past `cursor`,
+    /// encoded for `format` (at most once per chunk and format,
+    /// `Arc`-shared across subscribers), plus whether the ring is closed
     /// (deregistered / engine shutdown — once drained, the stream is
     /// over).
     pub(crate) fn fetch_ring(
@@ -260,47 +236,16 @@ impl SharedState {
         query: u64,
         cursor: u64,
         max: usize,
-    ) -> (Vec<(u64, Chunk)>, bool) {
+        format: WireFormat,
+    ) -> (Vec<Delivery>, bool) {
         let mut rings = self.lock_rings();
         match rings.get_mut(&query) {
             Some(ring) => {
                 ring.drain_tap();
-                (ring.fetch_after(cursor, max), ring.is_closed())
+                (ring.fetch(query, cursor, max, format), ring.is_closed())
             }
             None => (Vec::new(), true),
         }
-    }
-
-    /// Binary-mode counterpart of [`SharedState::fetch_ring`]: wire-ready
-    /// `CHUNK` frames (encoded at most once per chunk, `Arc`-shared across
-    /// subscribers) past `cursor`, plus whether the ring is closed.
-    pub(crate) fn fetch_ring_frames(
-        &self,
-        query: u64,
-        cursor: u64,
-        max: usize,
-    ) -> (Vec<FrameDelivery>, bool) {
-        let mut rings = self.lock_rings();
-        match rings.get_mut(&query) {
-            Some(ring) => {
-                ring.drain_tap();
-                (ring.fetch_frames_after(query, cursor, max), ring.is_closed())
-            }
-            None => (Vec::new(), true),
-        }
-    }
-
-    /// Park a freshly negotiated binary connection for the reactor.
-    pub(crate) fn enqueue_handoff(&self, handoff: BinaryHandoff) {
-        self.handoffs
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(handoff);
-    }
-
-    /// Adopt every parked binary connection (reactor side).
-    pub(crate) fn take_handoffs(&self) -> Vec<BinaryHandoff> {
-        std::mem::take(&mut *self.handoffs.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Pull every ring's tap forward so sequence numbers are assigned and
@@ -319,16 +264,13 @@ impl SharedState {
 pub struct Server {
     shared: Arc<SharedState>,
     addr: SocketAddr,
-    listener: Option<JoinHandle<()>>,
-    pump: Option<JoinHandle<()>>,
     reactor: Option<JoinHandle<()>>,
-    sessions: Arc<Mutex<Vec<JoinHandle<SessionStats>>>>,
 }
 
 impl Server {
     /// Build the engine (recovering it from the WAL when durability is
     /// configured and the directory holds state), run the init script,
-    /// bind the listener and start the pump + accept threads.
+    /// bind the listener and start the reactor thread.
     pub fn start(config: ServerConfig) -> io::Result<Server> {
         let mut engine = DataCell::open(config.engine.clone())
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
@@ -351,7 +293,6 @@ impl Server {
         let obs = engine.obs().clone();
         let shared = Arc::new(SharedState {
             engine: Mutex::new(engine),
-            work: Condvar::new(),
             shutdown: AtomicBool::new(false),
             stats: StatCounters::default(),
             epoch,
@@ -362,12 +303,11 @@ impl Server {
                 push_frame_timeout: config.push_frame_timeout,
                 write_timeout: config.write_timeout,
             },
-            handoffs: Mutex::new(Vec::new()),
             faults,
         });
         // Prime a replay ring for every recovered query *before* the
-        // listener opens: chunks fired between recovery and the first
-        // subscriber re-attaching are retained for resume, not dropped.
+        // listener opens, then fire whatever the recovered baskets already
+        // enable: those chunks are retained for resume, not dropped.
         {
             let mut engine = shared.lock_engine();
             let mut rings = shared.lock_rings();
@@ -376,38 +316,10 @@ impl Server {
                     rings.insert(query, ReplayRing::new(tap, shared.replay_capacity));
                 }
             }
+            let _ = engine.run_until_idle();
         }
-        let sessions: Arc<Mutex<Vec<JoinHandle<SessionStats>>>> =
-            Arc::new(Mutex::new(Vec::new()));
-
-        let pump = {
-            let shared = shared.clone();
-            let interval = config.pump_interval;
-            std::thread::Builder::new()
-                .name("datacell-pump".into())
-                .spawn(move || pump_loop(&shared, interval))?
-        };
-        let reactor = {
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name("datacell-reactor".into())
-                .spawn(move || reactor_loop(&shared, &obs))?
-        };
-        let listener_thread = {
-            let shared = shared.clone();
-            let sessions = sessions.clone();
-            std::thread::Builder::new()
-                .name("datacell-listener".into())
-                .spawn(move || accept_loop(listener, &shared, &sessions))?
-        };
-        Ok(Server {
-            shared,
-            addr,
-            listener: Some(listener_thread),
-            pump: Some(pump),
-            reactor: Some(reactor),
-            sessions,
-        })
+        let reactor = crate::reactor::spawn(listener, shared.clone(), obs)?;
+        Ok(Server { shared, addr, reactor: Some(reactor) })
     }
 
     /// The bound address (resolves port 0).
@@ -421,7 +333,7 @@ impl Server {
         self.shared.epoch
     }
 
-    /// Whether some session issued `SHUTDOWN` (or [`Server::shutdown`]
+    /// Whether some connection issued `SHUTDOWN` (or [`Server::shutdown`]
     /// already ran). The embedding binary polls this to know when to tear
     /// the server down.
     pub fn shutdown_requested(&self) -> bool {
@@ -440,33 +352,17 @@ impl Server {
     }
 
     /// Graceful shutdown: close subscriber queues (ending every `CHUNK`
-    /// stream), stop accepting, join all threads, then checkpoint the
+    /// stream), stop accepting, join the reactor, then checkpoint the
     /// engine (catalog snapshot + log fsync) when durability is on — so a
     /// restart recovers from a compact snapshot instead of a long meta-log
     /// replay. Returns the final counter snapshot.
     pub fn shutdown(mut self) -> ServerStats {
         self.shared.request_shutdown();
         self.shared.lock_engine().shutdown();
-        // Unblock accept() with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.listener.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.pump.take() {
-            let _ = h.join();
-        }
         if let Some(h) = self.reactor.take() {
             let _ = h.join();
         }
-        let handles: Vec<_> = {
-            let mut guard =
-                self.sessions.lock().unwrap_or_else(PoisonError::into_inner);
-            guard.drain(..).collect()
-        };
-        for h in handles {
-            let _ = h.join();
-        }
-        // Every session is gone: the engine is quiescent — checkpoint.
+        // Every connection is gone: the engine is quiescent — checkpoint.
         if let Err(e) = self.shared.lock_engine().checkpoint() {
             eprintln!("datacell-server: shutdown checkpoint failed: {e}");
         }
@@ -477,58 +373,8 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         // Belt and braces for tests that forget to call shutdown(): raise
-        // the flag so detached threads exit; they are not joined here.
+        // the flag so the reactor exits on its next tick; it is not joined.
         self.shared.request_shutdown();
         self.shared.lock_engine().shutdown();
-        let _ = TcpStream::connect(self.addr);
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    shared: &Arc<SharedState>,
-    sessions: &Arc<Mutex<Vec<JoinHandle<SessionStats>>>>,
-) {
-    for stream in listener.incoming() {
-        if shared.is_shutdown() {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        shared.stats.sessions_opened.fetch_add(1, Ordering::Relaxed);
-        let shared = shared.clone();
-        let handle = std::thread::Builder::new()
-            .name("datacell-session".into())
-            .spawn(move || run_session(stream, shared));
-        if let Ok(handle) = handle {
-            let mut guard = sessions.lock().unwrap_or_else(PoisonError::into_inner);
-            // Reap finished sessions so the handle list doesn't grow with
-            // every short-lived connection over the server's lifetime.
-            for done in std::mem::take(&mut *guard) {
-                if done.is_finished() {
-                    let _ = done.join();
-                } else {
-                    guard.push(done);
-                }
-            }
-            guard.push(handle);
-        }
-    }
-}
-
-fn pump_loop(shared: &Arc<SharedState>, interval: Duration) {
-    let mut engine = shared.lock_engine();
-    while !shared.is_shutdown() {
-        let (guard, _timeout) = shared
-            .work
-            .wait_timeout(engine, interval)
-            .unwrap_or_else(PoisonError::into_inner);
-        engine = guard;
-        if shared.is_shutdown() {
-            break;
-        }
-        let _ = engine.run_until_idle();
-        // Advance every replay ring even with no subscriber attached, so
-        // sequence numbers exist the moment a client (re)subscribes.
-        shared.drain_rings();
     }
 }

@@ -264,6 +264,30 @@ fn binary_chunks_preserve_nonfinite_float_bits() {
     server.shutdown();
 }
 
+/// One STOP semantics for both codecs: a STOP that follows an
+/// acknowledged push still delivers that push's chunk before
+/// `OK STOPPED` — the ring is drained first, as on a text connection.
+#[test]
+fn binary_stop_after_push_still_delivers_its_chunk() {
+    let server = Server::start(ServerConfig {
+        init_script: Some("CREATE STREAM s (v BIGINT)".into()),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let addr = server.local_addr();
+    let mut pusher = Client::connect(addr).unwrap();
+    let q = pusher.register("SELECT v FROM s").unwrap();
+    let mut bin_cli = Client::connect_binary(addr).unwrap();
+    for round in 0..5 {
+        let sub = bin_cli.subscribe(q, None).unwrap();
+        pusher.push_rows("s", &rows_int(&[round])).unwrap();
+        let (tail, chunks, rows) = sub.stop().unwrap();
+        assert_eq!((chunks, rows), (1, 1), "round {round}: STOP skipped the pushed chunk");
+        assert_eq!(tail, vec![rows_int(&[round])], "round {round}");
+    }
+    server.shutdown();
+}
+
 // ---- reconnect with resume ---------------------------------------------
 
 fn durable_config(dir: &PathBuf, addr: &str) -> ServerConfig {
@@ -498,6 +522,31 @@ fn corrupt_frames_get_err_or_clean_close_never_panic() {
     let mut c = Client::connect_binary(addr).unwrap();
     c.ping().unwrap();
     c.quit().unwrap();
+    server.shutdown();
+}
+
+/// `HELLO BINARY 2` and a PUSH frame pipelined in a single write: the
+/// bytes behind the handshake line move from the line codec to the frame
+/// codec, so the frame (and a PING behind it) are both answered.
+#[test]
+fn pipelined_hello_and_push_frame_are_both_answered() {
+    let server = Server::start(ServerConfig {
+        init_script: Some("CREATE STREAM s (v BIGINT)".into()),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let schema =
+        datacell_storage::Schema::of(&[("v", datacell_storage::DataType::Int)]);
+    let mut bytes = b"HELLO BINARY 2\n".to_vec();
+    bytes.extend(frame::encode_push_frame("s", &schema, &rows_int(&[1, 2])).unwrap());
+    bytes.extend(frame::encode_text("PING"));
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.write_all(&bytes).unwrap();
+    assert_eq!(read_line_blocking(&mut raw), "OK HELLO BINARY 2");
+    let mut fbuf = FrameBuf::new();
+    assert_eq!(read_text_frame(&mut raw, &mut fbuf).trim(), "OK PUSHED 2");
+    assert_eq!(read_text_frame(&mut raw, &mut fbuf).trim(), "PONG");
+    assert_eq!(server.stats().rows_pushed, 2);
     server.shutdown();
 }
 
